@@ -84,7 +84,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tiled", &shape), &(), |bch, ()| {
             bch.iter(|| {
                 out.fill(0.0);
-                gemm_tiled(m, k, n, &a, &b, &mut out);
+                gemm_tiled(KernelTier::Exact, m, k, n, &a, &b, &mut out);
             })
         });
         // The fast tier: runtime-dispatched SIMD/FMA microkernels
@@ -115,7 +115,7 @@ fn bench_arena_forward(c: &mut Criterion) {
     });
     // Same arena path on the fast tier: the end-to-end view of the
     // SIMD/FMA kernels (gemm is most, not all, of a forward pass).
-    let mut arena_fast = ExecArena::for_network_tier(&s.net, KernelTier::Fast);
+    let mut arena_fast = ExecArena::new(&s.net, 1, KernelTier::Fast);
     group.bench_function("arena-fast", |b| {
         b.iter(|| s.net.classify_arena(&img, &mut arena_fast))
     });

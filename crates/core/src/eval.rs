@@ -8,8 +8,10 @@
 //! count, which the test suite asserts.
 
 use mupod_data::Dataset;
-use mupod_nn::tap::{gaussian_output_noise, QuantizeTap, StochasticQuantizeTap, UniformNoiseTap};
-use mupod_nn::{ExecArena, KernelTier, Network, NodeId};
+use mupod_nn::tap::{
+    gaussian_output_noise, InputTap, NoTap, QuantizeTap, StochasticQuantizeTap, UniformNoiseTap,
+};
+use mupod_nn::{ExecArena, KernelTier, Network, NodeId, Run};
 use mupod_quant::{BitwidthAllocation, FixedPointFormat};
 use mupod_stats::SeededRng;
 use mupod_tensor::Tensor;
@@ -171,7 +173,7 @@ impl<'a> AccuracyEvaluator<'a> {
         let fp_preds = predict_all(
             dataset.images(),
             resolved,
-            || ExecArena::for_network_tier(net, tier),
+            || ExecArena::new(net, 1, tier),
             |arena, _i, img| net.classify_arena(img, arena),
         );
         let (targets, fp_accuracy) = match mode {
@@ -259,13 +261,13 @@ impl<'a> AccuracyEvaluator<'a> {
         self.fraction_correct_with(
             || {
                 (
-                    ExecArena::for_network_tier(self.net, self.tier),
+                    ExecArena::new(self.net, 1, self.tier),
                     UniformNoiseTap::new(deltas.clone(), root.fork(0)),
                 )
             },
             |(arena, tap), i, img| {
                 tap.set_rng(root.fork(i as u64));
-                self.net.classify_tapped_arena(img, tap, arena)
+                tapped_logits(self.net, img, tap, arena).argmax()
             },
         )
     }
@@ -275,10 +277,9 @@ impl<'a> AccuracyEvaluator<'a> {
     pub fn accuracy_gaussian_output(&self, sigma: f64, seed: u64) -> f64 {
         let root = SeededRng::new(seed);
         self.fraction_correct_with(
-            || ExecArena::for_network_tier(self.net, self.tier),
+            || ExecArena::new(self.net, 1, self.tier),
             |arena, i, img| {
-                let acts = self.net.forward_arena(img, arena);
-                let mut logits = self.net.output(acts).clone();
+                let mut logits = tapped_logits(self.net, img, &mut NoTap, arena).clone();
                 let mut rng = root.fork(i as u64);
                 gaussian_output_noise(&mut logits, sigma, &mut rng);
                 logits.argmax()
@@ -292,11 +293,11 @@ impl<'a> AccuracyEvaluator<'a> {
         self.fraction_correct_with(
             || {
                 (
-                    ExecArena::for_network_tier(self.net, self.tier),
+                    ExecArena::new(self.net, 1, self.tier),
                     QuantizeTap::new(formats.clone()),
                 )
             },
-            |(arena, tap), _i, img| self.net.classify_tapped_arena(img, tap, arena),
+            |(arena, tap), _i, img| tapped_logits(self.net, img, tap, arena).argmax(),
         )
     }
 
@@ -312,13 +313,13 @@ impl<'a> AccuracyEvaluator<'a> {
         self.fraction_correct_with(
             || {
                 (
-                    ExecArena::for_network_tier(self.net, self.tier),
+                    ExecArena::new(self.net, 1, self.tier),
                     StochasticQuantizeTap::new(formats.clone(), root.fork(0)),
                 )
             },
             |(arena, tap), i, img| {
                 tap.set_rng(root.fork(i as u64));
-                self.net.classify_tapped_arena(img, tap, arena)
+                tapped_logits(self.net, img, tap, arena).argmax()
             },
         )
     }
@@ -355,7 +356,7 @@ impl<'a> AccuracyEvaluator<'a> {
     /// Panics if the other network's input shape differs.
     pub fn accuracy_of_network(&self, other: &Network) -> f64 {
         self.fraction_correct_with(
-            || ExecArena::for_network_tier(other, self.tier),
+            || ExecArena::new(other, 1, self.tier),
             |arena, _i, img| other.classify_arena(img, arena),
         )
     }
@@ -374,12 +375,26 @@ impl<'a> AccuracyEvaluator<'a> {
         self.fraction_correct_with(
             || {
                 (
-                    ExecArena::for_network_tier(other, self.tier),
+                    ExecArena::new(other, 1, self.tier),
                     QuantizeTap::new(formats.clone()),
                 )
             },
-            |(arena, tap), _i, img| other.classify_tapped_arena(img, tap, arena),
+            |(arena, tap), _i, img| tapped_logits(other, img, tap, arena).argmax(),
         )
+    }
+}
+
+/// The logits of `img` under `tap`, on `arena`'s tier.
+fn tapped_logits<'s>(
+    net: &Network,
+    img: &'s Tensor,
+    tap: &'s mut dyn InputTap,
+    arena: &'s mut ExecArena,
+) -> &'s Tensor {
+    match net.run(Run::image(img).tap(tap), arena) {
+        Ok(logits) => logits,
+        // lint:allow(no-panic-path) reason=only a validated run can fail and evaluation runs validate nothing; the arm is unreachable by construction
+        Err(_) => unreachable!("unvalidated run cannot fail"),
     }
 }
 

@@ -12,7 +12,9 @@
 
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::tap::UniformNoiseTap;
-use mupod_nn::{ExecArena, ExecError, KernelTier, Network, NodeId, ValidateConfig};
+use mupod_nn::{
+    Activations, ExecArena, ExecError, KernelTier, Network, NodeId, Run, ValidateConfig,
+};
 use mupod_stats::regression::FitError;
 use mupod_stats::{LinearFit, RunningStats, SeededRng};
 use mupod_tensor::Tensor;
@@ -243,6 +245,36 @@ impl From<ExecError> for ProfileError {
     fn from(e: ExecError) -> Self {
         ProfileError::NumericalFault(e)
     }
+}
+
+/// The checks a profiling pass runs: the full sweep when the guardrails
+/// validate activations, none otherwise.
+pub(crate) fn validation(validate_activations: bool) -> ValidateConfig {
+    if validate_activations {
+        ValidateConfig::default()
+    } else {
+        ValidateConfig::off()
+    }
+}
+
+/// The clean activation cache of every image, each from its own
+/// exact-tier pass — validated up front (if configured) so a poisoned
+/// image or weight set fails fast, before a sweep begins. Shared by the
+/// input and weight profilers.
+pub(crate) fn clean_passes(
+    net: &Network,
+    images: &[Tensor],
+    validate_activations: bool,
+) -> Result<Vec<Activations>, ExecError> {
+    let checks = validation(validate_activations);
+    images
+        .iter()
+        .map(|img| {
+            let mut arena = ExecArena::for_network(net);
+            net.run(Run::image(img).validate(checks), &mut arena)?;
+            Ok(arena.into_activations())
+        })
+        .collect()
 }
 
 /// Fits one layer's sweep under the guardrails, producing either the
@@ -522,7 +554,7 @@ impl<'a> Profiler<'a> {
         let threads = threads.min(layers.len());
 
         if threads <= 1 {
-            let mut arena = ExecArena::for_network_tier(self.net, self.config.kernel_tier);
+            let mut arena = ExecArena::new(self.net, 1, self.config.kernel_tier);
             let mut out = Vec::with_capacity(layers.len());
             for (li, &layer) in layers.iter().enumerate() {
                 out.push(finish(li, layer, &mut arena)?);
@@ -542,8 +574,7 @@ impl<'a> Profiler<'a> {
                     let next_job = &next_job;
                     let finish = &finish;
                     handles.push(scope.spawn(move || {
-                        let mut arena =
-                            ExecArena::for_network_tier(self.net, self.config.kernel_tier);
+                        let mut arena = ExecArena::new(self.net, 1, self.config.kernel_tier);
                         let mut local = Vec::new();
                         loop {
                             let li = next_job.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -585,17 +616,11 @@ impl<'a> Profiler<'a> {
         &self,
     ) -> Result<(Vec<mupod_nn::Activations>, LayerInventory), ProfileError> {
         let _span = mupod_obs::span("profile.clean_pass");
-        let clean: Vec<_> = if self.config.guard.validate_activations {
-            self.images
-                .iter()
-                .map(|img| self.net.forward_checked(img))
-                .collect::<Result<_, _>>()?
-        } else {
-            self.images
-                .iter()
-                .map(|img| self.net.forward(img))
-                .collect()
-        };
+        let clean = clean_passes(
+            self.net,
+            self.images,
+            self.config.guard.validate_activations,
+        )?;
         let inventory = LayerInventory::measure(self.net, self.images.iter().cloned());
         Ok((clean, inventory))
     }
@@ -645,7 +670,7 @@ impl<'a> Profiler<'a> {
         arena: &mut ExecArena,
     ) -> Result<LayerProfile, ProfileError> {
         let cfg = &self.config;
-        let validate = cfg.guard.validate_activations;
+        let checks = validation(cfg.guard.validate_activations);
         let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
         let mut sigmas = Vec::with_capacity(cfg.n_deltas);
         let mut deltas = Vec::with_capacity(cfg.n_deltas);
@@ -663,34 +688,16 @@ impl<'a> Profiler<'a> {
                         ^ ((rep as u64) << 14)
                         ^ i as u64;
                     let mut tap = UniformNoiseTap::single(layer, delta, rng.fork(stream));
-                    // All four paths run on the per-worker arena: zero
-                    // heap allocation per replay, bit-identical numerics
-                    // (asserted by the mupod-nn arena test suite).
-                    let noisy: &Tensor = match (cfg.full_replay, validate) {
-                        (true, true) => {
-                            let acts = self.net.forward_tapped_checked_arena(
-                                img,
-                                &mut tap,
-                                ValidateConfig::default(),
-                                arena,
-                            )?;
-                            self.net.output(acts)
-                        }
-                        (true, false) => {
-                            let acts = self.net.forward_tapped_arena(img, &mut tap, arena);
-                            self.net.output(acts)
-                        }
-                        (false, true) => self.net.forward_suffix_checked_arena(
-                            base,
-                            layer,
-                            &mut tap,
-                            ValidateConfig::default(),
-                            arena,
-                        )?,
-                        (false, false) => {
-                            self.net.forward_suffix_arena(base, layer, &mut tap, arena)
-                        }
+                    // Both paths run on the per-worker arena: zero heap
+                    // allocation per replay, and suffix replay is
+                    // bit-identical to the full tapped pass (asserted by
+                    // the mupod-nn replay property suite).
+                    let run = if cfg.full_replay {
+                        Run::image(img)
+                    } else {
+                        Run::suffix(base, layer)
                     };
+                    let noisy = self.net.run(run.tap(&mut tap).validate(checks), arena)?;
                     let ref_out = self.net.output(base);
                     for (a, b) in noisy.data().iter().zip(ref_out.data()) {
                         stats.push((a - b) as f64);

@@ -16,17 +16,19 @@
 //! per-layer weight formats exactly like input formats do.
 //!
 //! Profiling cost is higher than the input profiler's: perturbing
-//! weights invalidates the layer itself, so each probe clones the layer
-//! (cheap) and replays the suffix from the clean activation cache.
+//! weights invalidates the layer itself, so each probe clones the network
+//! with that layer perturbed and replays the suffix from the clean
+//! activation cache through one reused execution arena.
 //! Note that one weight perturbation is *shared* by all images (as real
 //! rounding would be), so `ProfileConfig::repeats` is the effective
 //! sample count of each σ estimate — use ≥ 8 repeats here where the
 //! input profiler is happy with 2.
 
-use crate::profile::{fit_sweep_guarded, LayerProfile, Profile, ProfileConfig, ProfileError};
+use crate::profile::{
+    clean_passes, fit_sweep_guarded, validation, LayerProfile, Profile, ProfileConfig, ProfileError,
+};
 use mupod_nn::inventory::LayerInventory;
-use mupod_nn::tap::NoTap;
-use mupod_nn::{Network, NodeId, Op};
+use mupod_nn::{ExecArena, Network, NodeId, Op, Run};
 use mupod_stats::{RunningStats, SeededRng};
 use mupod_tensor::Tensor;
 
@@ -68,14 +70,11 @@ pub fn profile_weights(
     }
     // Validated up front, same policy as the input profiler: poisoned
     // weights or images must fail fast with a typed error.
-    let clean: Vec<_> = if config.guard.validate_activations {
-        images
-            .iter()
-            .map(|img| net.forward_checked(img))
-            .collect::<Result<_, _>>()?
-    } else {
-        images.iter().map(|img| net.forward(img)).collect()
-    };
+    let clean = clean_passes(net, images, config.guard.validate_activations)?;
+    let checks = validation(config.guard.validate_activations);
+    // Every perturbed clone shares `net`'s shapes, so one arena serves
+    // all replays.
+    let mut arena = ExecArena::for_network(net);
     let inventory = LayerInventory::measure(net, images.iter().cloned());
     let rng = SeededRng::new(config.seed ^ 0x77EE);
 
@@ -99,16 +98,7 @@ pub fn profile_weights(
                 let mut noise_rng = rng.fork(stream);
                 let noisy = net.with_perturbed_weights(layer, delta, &mut noise_rng);
                 for base in &clean {
-                    let out_t = if config.guard.validate_activations {
-                        noisy.forward_suffix_checked(
-                            base,
-                            layer,
-                            &mut NoTap,
-                            mupod_nn::ValidateConfig::default(),
-                        )?
-                    } else {
-                        noisy.forward_suffix(base, layer, &mut NoTap)
-                    };
+                    let out_t = noisy.run(Run::suffix(base, layer).validate(checks), &mut arena)?;
                     let ref_out = net.output(base);
                     for (a, b) in out_t.data().iter().zip(ref_out.data()) {
                         stats.push((a - b) as f64);

@@ -14,7 +14,7 @@ use mupod_core::{
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod_nn::tap::{FaultKind, FaultTap};
-use mupod_nn::{ExecError, Network, ValidateConfig};
+use mupod_nn::{ExecArena, ExecError, Network, Run, ValidateConfig};
 use std::path::PathBuf;
 
 fn setup(seed: u64) -> (Network, Dataset) {
@@ -107,10 +107,14 @@ fn fault_tap_on_checked_pass_never_panics() {
     let (net, data) = setup(0xF4);
     let layers = ModelKind::AlexNet.analyzable_layers(&net);
     let image = &data.images()[0];
+    let mut arena = ExecArena::for_network(&net);
     for kind in [FaultKind::Nan, FaultKind::PosInf, FaultKind::NegInf] {
         for &layer in &layers {
             let mut tap = FaultTap::single_element(layer, kind);
-            let res = net.forward_tapped_checked(image, &mut tap, ValidateConfig::default());
+            let run = Run::image(image)
+                .tap(&mut tap)
+                .validate(ValidateConfig::default());
+            let res = net.run(run, &mut arena);
             let err = res.expect_err("fault must be detected");
             assert!(
                 matches!(err, ExecError::NonFiniteActivation { .. }),

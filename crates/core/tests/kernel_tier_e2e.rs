@@ -6,7 +6,7 @@
 use mupod_core::{AccuracyEvaluator, AccuracyMode};
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
-use mupod_nn::{ExecArena, KernelTier, Network};
+use mupod_nn::{ExecArena, KernelTier, Network, Run};
 
 fn setup(seed: u64, images: usize) -> (Network, Dataset) {
     let scale = ModelScale::tiny();
@@ -21,8 +21,8 @@ fn setup(seed: u64, images: usize) -> (Network, Dataset) {
 #[test]
 fn fast_tier_keeps_every_top1_prediction() {
     let (net, data) = setup(0x61, 64);
-    let mut exact = ExecArena::for_network_tier(&net, KernelTier::Exact);
-    let mut fast = ExecArena::for_network_tier(&net, KernelTier::Fast);
+    let mut exact = ExecArena::new(&net, 1, KernelTier::Exact);
+    let mut fast = ExecArena::new(&net, 1, KernelTier::Fast);
     assert_eq!(exact.tier(), KernelTier::Exact);
     assert_eq!(fast.tier(), KernelTier::Fast);
     let mut agreements = 0usize;
@@ -73,11 +73,11 @@ fn exact_tier_is_the_default_and_stays_bit_reproducible() {
     assert_eq!(default_arena.tier(), KernelTier::Exact);
     // Two independent exact arenas must produce bit-identical logits —
     // the property every recorded artifact's byte-stability rests on.
-    let mut a = ExecArena::for_network_tier(&net, KernelTier::Exact);
-    let mut b = ExecArena::for_network_tier(&net, KernelTier::Exact);
+    let mut a = ExecArena::new(&net, 1, KernelTier::Exact);
+    let mut b = ExecArena::new(&net, 1, KernelTier::Exact);
     for img in data.images() {
-        let la = net.output(net.forward_arena(img, &mut a)).data().to_vec();
-        let lb = net.output(net.forward_arena(img, &mut b)).data().to_vec();
+        let la = net.run(Run::image(img), &mut a).unwrap().data().to_vec();
+        let lb = net.run(Run::image(img), &mut b).unwrap().data().to_vec();
         let bits_a: Vec<u32> = la.iter().map(|v| v.to_bits()).collect();
         let bits_b: Vec<u32> = lb.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits_a, bits_b);

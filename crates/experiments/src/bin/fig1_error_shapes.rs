@@ -12,6 +12,7 @@
 use mupod_experiments::{f, prepare, ExperimentError, RunSize};
 use mupod_models::ModelKind;
 use mupod_nn::tap::{InputTap, UniformNoiseTap};
+use mupod_nn::{ExecArena, Run};
 use mupod_stats::histogram::normal_pdf;
 use mupod_stats::{Histogram, RunningStats, SeededRng};
 
@@ -34,6 +35,7 @@ fn run() -> Result<(), ExperimentError> {
     let mut out_samples: Vec<f64> = Vec::new();
 
     let rng = SeededRng::new(0xF16);
+    let mut arena = ExecArena::for_network(net);
     for (i, img) in prepared.eval.images().iter().enumerate() {
         let base = net.forward(img);
         // Capture the injected input error by tapping the same tensor the
@@ -54,7 +56,9 @@ fn run() -> Result<(), ExperimentError> {
         // Replay the suffix with the same seed to get the matching output
         // error.
         let mut tap2 = UniformNoiseTap::single(layer, delta, rng.fork(i as u64));
-        let noisy_out = net.forward_suffix(&base, layer, &mut tap2);
+        let noisy_out = net
+            .run(Run::suffix(&base, layer).tap(&mut tap2), &mut arena)
+            .map_err(|e| ExperimentError::Invariant(e.to_string()))?;
         for (a, b) in noisy_out.data().iter().zip(net.output(&base).data()) {
             let e = (a - b) as f64;
             output_errors.push(e);

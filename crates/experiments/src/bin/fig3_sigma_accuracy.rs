@@ -15,7 +15,7 @@
 use mupod_core::{AccuracyEvaluator, AccuracyMode, ProfileConfig, Profiler};
 use mupod_experiments::{f, markdown_table, prepare, ExperimentError, RunSize};
 use mupod_models::ModelKind;
-use mupod_nn::NodeId;
+use mupod_nn::{ExecArena, NodeId, Run};
 use mupod_stats::histogram::standard_normal_pdf;
 use mupod_stats::{Histogram, RunningStats, SeededRng};
 use std::collections::HashMap;
@@ -146,16 +146,14 @@ fn run() -> Result<(), ExperimentError> {
     let rng = SeededRng::new(0x415);
     let mut stats = RunningStats::new();
     let mut samples = Vec::new();
+    let mut arena = ExecArena::for_network(net);
     for (i, img) in prepared.eval.images().iter().enumerate() {
         let base = net.forward(img);
         let mut tap = mupod_nn::tap::UniformNoiseTap::new(deltas.clone(), rng.fork(i as u64));
-        let noisy = net.forward_tapped(img, &mut tap);
-        for (a, b) in net
-            .output(&noisy)
-            .data()
-            .iter()
-            .zip(net.output(&base).data())
-        {
+        let noisy = net
+            .run(Run::image(img).tap(&mut tap), &mut arena)
+            .map_err(|e| ExperimentError::Invariant(e.to_string()))?;
+        for (a, b) in noisy.data().iter().zip(net.output(&base).data()) {
             let e = (a - b) as f64;
             stats.push(e);
             samples.push(e);

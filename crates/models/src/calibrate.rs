@@ -18,7 +18,7 @@
 //!   the convolution.
 
 use mupod_data::Dataset;
-use mupod_nn::{ExecArena, Network, NodeId, Op};
+use mupod_nn::{ExecArena, Network, NodeId, Op, Run};
 use mupod_stats::linalg::{ridge_regression, Matrix, SolveError};
 use mupod_tensor::pool::global_avg_pool;
 use mupod_tensor::Tensor;
@@ -102,10 +102,11 @@ fn identify_head(net: &Network) -> Result<Head, CalibrateError> {
 /// Extracts the probe feature vector for one image.
 ///
 /// Runs on a caller-owned [`ExecArena`] so the per-image forward pass
-/// allocates nothing; results are bit-identical to the allocating
-/// executor.
+/// allocates nothing.
 fn features(net: &Network, head: &Head, image: &Tensor, arena: &mut ExecArena) -> Vec<f64> {
-    let acts = net.forward_arena(image, arena);
+    net.run(Run::image(image), arena)
+        .expect("an unvalidated run cannot fail");
+    let acts = arena.activations(0);
     match head {
         Head::Fc(fc) => {
             let producer = net.node(*fc).inputs[0];

@@ -1,17 +1,48 @@
-//! Forward execution: full passes, tapped passes and suffix replay —
-//! plus validated variants that sweep every layer boundary for NaN/Inf.
+//! The executor: one node loop behind every forward pass.
+//!
+//! The paper's method runs one forward pass in three modes — full noisy
+//! passes, suffix replay from the injected layer (§V-A) and fixed-point
+//! validation taps (§V-C) — and serving runs it over batches. All of
+//! them are one [`Run`] through [`Network::run`], which walks the graph
+//! once and writes every activation into a reusable [`ExecArena`]:
+//!
+//! * [`Run::images`] evaluates every node for a batch of images, one
+//!   arena slot each (a batch of one is the single-image case);
+//!   [`Run::suffix`] re-evaluates only the nodes downstream of one
+//!   dot-product layer, reading every other operand from a clean
+//!   [`Activations`] cache;
+//! * [`Run::tap`] lets an [`InputTap`] perturb the data operand of the
+//!   dot-product layers it claims (in a suffix run: the start layer);
+//! * [`Run::validate`] sweeps the images and each produced activation
+//!   for NaN/Inf and names the first layer that emitted one.
+//!
+//! Convolution nodes run the whole batch through one packed GEMM per
+//! group ([`conv2d_batch_into`]); every other op runs per image. Neither
+//! changes a bit relative to evaluating images one at a time, so a
+//! batched answer never depends on the rest of its batch. A warm arena
+//! performs zero heap allocation per run.
 
 use crate::graph::Network;
 use crate::layer::{NodeId, Op};
-use crate::tap::InputTap;
-use mupod_tensor::conv::conv2d_into_tier;
-use mupod_tensor::gemm::matvec_into_tier;
+use crate::tap::{InputTap, NoTap};
+use mupod_tensor::conv::conv2d_batch_into;
+use mupod_tensor::gemm::matvec_into;
 use mupod_tensor::pool::{
     avg_pool2d_into, global_avg_pool_into, lrn_across_channels_into, max_pool2d_into,
 };
 use mupod_tensor::{KernelTier, Tensor, TensorError};
 
-/// What the validated forward variants check at each layer boundary.
+/// Largest fan-in a node may have: operands are gathered on the stack
+/// (concat in the model zoo tops out at a handful of branches).
+const MAX_FANIN: usize = 16;
+
+/// Images gathered on the stack for one batched convolution; larger
+/// batches run in chunks of this many (bit-identical, see
+/// [`conv2d_batch_into`]). Eight covers the batch sizes served by
+/// default and keeps the per-node gather small for single images.
+const BATCH_CHUNK: usize = 8;
+
+/// What a validated [`Run`] checks at each layer boundary.
 ///
 /// The sweep is a single `is_finite` pass over each produced activation —
 /// memory-bandwidth cost, negligible next to the dot products that made
@@ -34,8 +65,7 @@ impl Default for ValidateConfig {
 }
 
 impl ValidateConfig {
-    /// A config that checks nothing (the validated passes degenerate to
-    /// the plain ones).
+    /// A config that checks nothing — the default of every [`Run`].
     pub fn off() -> Self {
         Self {
             check_input: false,
@@ -44,7 +74,7 @@ impl ValidateConfig {
     }
 }
 
-/// Errors detected by the validated forward variants.
+/// Errors detected by a validated [`Run`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// The input image contains a non-finite element.
@@ -92,16 +122,6 @@ pub struct Activations {
 }
 
 impl Activations {
-    /// Wraps pre-built per-node tensors (arena construction).
-    pub(crate) fn from_tensors(tensors: Vec<Tensor>) -> Self {
-        Self { tensors }
-    }
-
-    /// Mutable access to the slot vector (arena execution).
-    pub(crate) fn tensors_mut(&mut self) -> &mut Vec<Tensor> {
-        &mut self.tensors
-    }
-
     /// Activation of a node.
     ///
     /// # Panics
@@ -122,97 +142,249 @@ impl Activations {
     }
 }
 
-/// Output shape of one operator given its input tensors.
+/// What one [`Network::run`] computes: its source (a batch of images, or
+/// a suffix replay over clean activations), an optional input tap, and
+/// the finiteness checks. Built with [`Run::images`], [`Run::image`] or
+/// [`Run::suffix`], then refined with [`Run::tap`] and [`Run::validate`].
+pub struct Run<'a> {
+    source: Source<'a>,
+    tap: Option<&'a mut dyn InputTap>,
+    validate: ValidateConfig,
+}
+
+/// Where a run's operands come from.
+enum Source<'a> {
+    /// Full passes, one arena slot per image.
+    Images(&'a [Tensor]),
+    /// Replay of the nodes affected by `start`, over `base`.
+    Suffix {
+        base: &'a Activations,
+        start: NodeId,
+    },
+}
+
+impl<'a> Run<'a> {
+    fn new(source: Source<'a>) -> Self {
+        Self {
+            source,
+            tap: None,
+            validate: ValidateConfig::off(),
+        }
+    }
+
+    /// A full pass over a batch of images, image `b` in arena slot `b`.
+    pub fn images(images: &'a [Tensor]) -> Self {
+        Self::new(Source::Images(images))
+    }
+
+    /// A full pass over one image (a batch of one).
+    pub fn image(image: &'a Tensor) -> Self {
+        Self::images(std::slice::from_ref(image))
+    }
+
+    /// Suffix replay (§V-A steps 3–4): re-evaluates `start` and every
+    /// node downstream of it, reading all other operands from the clean
+    /// activations `base`. The clean pass is computed once per image;
+    /// each (layer, Δ) pair then replays only the affected part. The
+    /// tap, if any, is applied exactly once, to `start`'s data input.
+    pub fn suffix(base: &'a Activations, start: NodeId) -> Self {
+        Self::new(Source::Suffix { base, start })
+    }
+
+    /// Lets `tap` perturb the data input of each dot-product layer it
+    /// claims (noise injection, quantization, fault injection). In a
+    /// batch the tap sees every image of a node in slot order before the
+    /// next node.
+    pub fn tap(mut self, tap: &'a mut dyn InputTap) -> Self {
+        self.tap = Some(tap);
+        self
+    }
+
+    /// Sweeps the images (`cfg.check_input`, full passes only) and every
+    /// produced activation (`cfg.check_activations`) for NaN/Inf. The
+    /// tap may itself inject non-finite values — that is what the
+    /// fault-injection harness does — and the sweep attributes the fault
+    /// to the first layer whose *output* carries it. Off by default.
+    pub fn validate(mut self, cfg: ValidateConfig) -> Self {
+        self.validate = cfg;
+        self
+    }
+}
+
+/// Reusable execution state for one network: `max_batch` slots of
+/// activations pre-shaped from the build-time dry run, lazily-cloned
+/// tap scratch per slot, the shared im2col and GEMM scratch, and the
+/// suffix affected-set buffer.
 ///
-/// The single source of truth shared by the allocating and arena
-/// executors; [`crate::ExecArena`] slots are pre-shaped from the same
-/// dimensions the build-time dry run records.
+/// Create one per worker thread and pass it to [`Network::run`]. After
+/// the first run at a given batch size a warm arena performs **zero**
+/// heap allocation per run. An arena is shape-locked to the network it
+/// was built for (or a clone of it with other weights); using it with a
+/// differently shaped network panics.
+///
+/// # Example
+///
+/// ```
+/// use mupod_nn::{ExecArena, NetworkBuilder, Run};
+/// use mupod_tensor::{conv::Conv2dParams, Tensor};
+///
+/// let mut b = NetworkBuilder::new(&[1, 4, 4]);
+/// let input = b.input();
+/// let conv = b.conv2d(
+///     "conv1",
+///     input,
+///     Conv2dParams::new(1, 2, 3, 1, 1),
+///     Tensor::filled(&[2, 1, 3, 3], 0.1),
+///     vec![0.0, 0.0],
+/// );
+/// let net = b.build(conv).unwrap();
+/// let mut arena = ExecArena::for_network(&net);
+/// let image = Tensor::filled(&[1, 4, 4], 1.0);
+/// let logits = net.run(Run::image(&image), &mut arena).unwrap();
+/// assert_eq!(logits.dims(), &[2, 4, 4]);
+/// ```
+#[derive(Debug)]
+pub struct ExecArena {
+    /// One slot per batch image.
+    slots: Vec<Slot>,
+    /// im2col scratch, grown on demand and never shrunk.
+    patches: Vec<f32>,
+    /// Batched-convolution GEMM output panel.
+    gemm_out: Vec<f32>,
+    /// Which nodes the current run evaluates.
+    affected: Vec<bool>,
+    /// Kernel tier every dot-product op dispatches to.
+    tier: KernelTier,
+}
+
+/// One batch image's activations and tap input scratch.
+#[derive(Debug)]
+struct Slot {
+    acts: Activations,
+    tap_in: Vec<Option<Tensor>>,
+}
+
+impl ExecArena {
+    /// A one-image arena for `net` on the bit-exact kernel tier.
+    pub fn for_network(net: &Network) -> Self {
+        Self::new(net, 1, KernelTier::Exact)
+    }
+
+    /// An arena for batches of up to `max_batch` images whose conv and
+    /// fully-connected nodes run on `tier` ([`KernelTier::Fast`] trades
+    /// bit-exactness for the SIMD/FMA microkernels — see
+    /// `mupod_tensor::fast`). Every activation slot is allocated up
+    /// front from the shapes recorded at build time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_batch` is zero.
+    pub fn new(net: &Network, max_batch: usize, tier: KernelTier) -> Self {
+        assert!(max_batch > 0, "an arena needs at least one slot");
+        let slot = || Slot {
+            acts: Activations {
+                tensors: (0..net.node_count())
+                    .map(|i| Tensor::zeros(net.node_out_dims(NodeId(i))))
+                    .collect(),
+            },
+            tap_in: vec![None; net.node_count()],
+        };
+        Self {
+            slots: (0..max_batch).map(|_| slot()).collect(),
+            patches: Vec::new(),
+            gemm_out: Vec::new(),
+            affected: Vec::new(),
+            tier,
+        }
+    }
+
+    /// The kernel tier this arena dispatches dot-product ops to.
+    pub fn tier(&self) -> KernelTier {
+        self.tier
+    }
+
+    /// The activations slot `slot` holds from the most recent run. After
+    /// a suffix run only the replayed nodes of slot 0 are current.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the arena's `max_batch`.
+    pub fn activations(&self, slot: usize) -> &Activations {
+        &self.slots[slot].acts
+    }
+
+    /// Consumes the arena, keeping the activations of slot 0.
+    pub fn into_activations(mut self) -> Activations {
+        self.slots.swap_remove(0).acts
+    }
+}
+
+/// Output shape of one operator given its input shapes — the shapes the
+/// build-time dry run records and [`ExecArena`] slots are allocated with.
 ///
 /// # Panics
 ///
 /// Panics on operand-shape mismatches gross enough to make the output
 /// shape undefined (finer mismatches are caught by [`eval_op_into`]).
-pub(crate) fn op_output_dims(op: &Op, inputs: &[&Tensor]) -> Vec<usize> {
+pub(crate) fn op_output_dims(op: &Op, inputs: &[&[usize]]) -> Vec<usize> {
+    let chw = |d: &[usize], what: &str| {
+        assert_eq!(d.len(), 3, "{what} expects a CHW tensor");
+        (d[0], d[1], d[2])
+    };
     match op {
-        // lint:allow(no-panic-path) reason=executor seeds Input nodes from the image and never schedules them for evaluation
+        // lint:allow(no-panic-path) reason=the executor seeds Input nodes from the image and never schedules them for evaluation
         Op::Input => unreachable!("input placeholder is never evaluated"),
         Op::Conv2d { params, .. } => {
-            assert_eq!(inputs[0].dims().len(), 3, "conv2d expects a CHW input");
-            let (oh, ow) = params.out_spatial(inputs[0].dims()[1], inputs[0].dims()[2]);
+            let (_, h, w) = chw(inputs[0], "conv2d");
+            let (oh, ow) = params.out_spatial(h, w);
             vec![params.out_channels, oh, ow]
         }
         Op::FullyConnected { weight, .. } => vec![weight.dims()[0]],
-        Op::ReLU | Op::Lrn { .. } | Op::ChannelAffine { .. } | Op::Add => inputs[0].dims().to_vec(),
+        Op::ReLU | Op::Lrn { .. } | Op::ChannelAffine { .. } | Op::Add => inputs[0].to_vec(),
         Op::MaxPool(p) | Op::AvgPool(p) => {
-            assert_eq!(inputs[0].dims().len(), 3, "pooling expects a CHW tensor");
-            let (oh, ow) = p.out_spatial(inputs[0].dims()[1], inputs[0].dims()[2]);
-            vec![inputs[0].dims()[0], oh, ow]
+            let (c, h, w) = chw(inputs[0], "pooling");
+            let (oh, ow) = p.out_spatial(h, w);
+            vec![c, oh, ow]
         }
-        Op::GlobalAvgPool => {
-            assert_eq!(inputs[0].dims().len(), 3, "pooling expects a CHW tensor");
-            vec![inputs[0].dims()[0]]
-        }
+        Op::GlobalAvgPool => vec![chw(inputs[0], "pooling").0],
         Op::Concat => {
-            let h = inputs[0].dims()[1];
-            let w = inputs[0].dims()[2];
+            let (_, h, w) = chw(inputs[0], "concat");
             let mut total_c = 0;
-            for p in inputs {
-                assert_eq!(p.dims().len(), 3, "concat expects CHW tensors");
-                assert_eq!(p.dims()[1], h, "spatial height mismatch in concat");
-                assert_eq!(p.dims()[2], w, "spatial width mismatch in concat");
-                total_c += p.dims()[0];
+            for d in inputs {
+                let (c, dh, dw) = chw(d, "concat");
+                assert_eq!(dh, h, "spatial height mismatch in concat");
+                assert_eq!(dw, w, "spatial width mismatch in concat");
+                total_c += c;
             }
             vec![total_c, h, w]
         }
-        Op::Flatten | Op::Softmax => vec![inputs[0].numel()],
+        Op::Flatten | Op::Softmax => vec![inputs[0].iter().product()],
     }
 }
 
-/// Evaluates one operator into a pre-shaped output tensor.
+/// Evaluates one per-image operator into a pre-shaped output tensor.
 ///
 /// `out` must already have the shape [`op_output_dims`] reports; its
-/// contents are fully overwritten. `patches` is the reusable im2col
-/// scratch (grown on demand, never shrunk). Both the allocating
-/// [`eval_op`] and the arena executor route through this function, so
-/// the two paths cannot diverge numerically.
-///
-/// The dot-product ops (conv, fully-connected) run on `tier`
-/// ([`KernelTier::Exact`] keeps the bit-exact contract; `Fast` routes
-/// to the SIMD/FMA microkernels); every other op is tier-independent.
+/// contents are fully overwritten. Fully-connected layers run on `tier`
+/// ([`KernelTier::Exact`] keeps the bit-exact contract; `Fast` routes to
+/// the SIMD/FMA microkernels); every other op here is tier-independent.
+/// Convolutions are not per-image ops: [`Network::run`] sends each conv
+/// node's whole batch through [`conv2d_batch_into`].
 ///
 /// # Panics
 ///
 /// Panics on operand-shape mismatches (the tensor kernels validate).
-pub(crate) fn eval_op_into(
-    op: &Op,
-    inputs: &[&Tensor],
-    out: &mut Tensor,
-    patches: &mut Vec<f32>,
-    tier: KernelTier,
-) {
+pub(crate) fn eval_op_into(op: &Op, inputs: &[&Tensor], out: &mut Tensor, tier: KernelTier) {
     match op {
-        // lint:allow(no-panic-path) reason=executor seeds Input nodes from the image and never schedules them for evaluation
-        Op::Input => unreachable!("input placeholder is never evaluated"),
-        Op::Conv2d {
-            params,
-            weight,
-            bias,
-        } => conv2d_into_tier(
-            tier,
-            inputs[0],
-            weight,
-            Some(bias),
-            params,
-            patches,
-            out.data_mut(),
-        ),
+        // lint:allow(no-panic-path) reason=the executor seeds Input nodes from the image and batches every conv node through conv2d_batch_into, so neither reaches this dispatch
+        Op::Input | Op::Conv2d { .. } => unreachable!("{} is not a per-image op", op.mnemonic()),
         Op::FullyConnected { weight, bias } => {
             assert_eq!(
                 inputs[0].dims().len(),
                 1,
                 "fully-connected input must be rank 1 (insert a flatten)"
             );
-            matvec_into_tier(
+            matvec_into(
                 tier,
                 weight.dims()[0],
                 weight.dims()[1],
@@ -301,60 +473,216 @@ pub(crate) fn eval_op_into(
     }
 }
 
-/// Evaluates one operator given its input tensors, allocating the output.
-///
-/// # Panics
-///
-/// Panics on operand-shape mismatches (the tensor kernels validate).
-pub(crate) fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
-    let dims = op_output_dims(op, inputs);
-    let mut out = Tensor::zeros(&dims);
-    let mut patches = Vec::new();
-    // The allocating path is the bit-exact reference oracle: always
-    // Exact, regardless of any arena's tier.
-    eval_op_into(op, inputs, &mut out, &mut patches, KernelTier::Exact);
-    out
-}
-
 impl Network {
-    /// Runs a clean forward pass, returning every activation.
+    /// Executes `run` into `arena` — the one node loop behind every
+    /// forward pass — and returns the logits of its first image. For a
+    /// suffix run these are the replayed logits (or the clean ones, if
+    /// the start layer does not reach the output). Every image's
+    /// activations stay readable through [`ExecArena::activations`].
+    ///
+    /// # Errors
+    ///
+    /// Only a validated run fails: [`ExecError::NonFiniteInput`] for a
+    /// bad image and [`ExecError::NonFiniteActivation`] naming the first
+    /// layer whose output contains NaN/Inf.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch or one larger than the arena's
+    /// `max_batch`, an image whose shape is not
+    /// [`Network::input_dims`], a suffix start that is not a dot-product
+    /// layer, clean activations or an arena built for a different
+    /// network, and a node with more than 16 inputs.
+    pub fn run<'s>(&self, run: Run<'s>, arena: &'s mut ExecArena) -> Result<&'s Tensor, ExecError> {
+        let Run {
+            source,
+            tap,
+            validate,
+        } = run;
+        let mut no_tap = NoTap;
+        let tap: &mut dyn InputTap = match tap {
+            Some(tap) => tap,
+            None => &mut no_tap,
+        };
+        let ExecArena {
+            slots,
+            patches,
+            gemm_out,
+            affected,
+            tier,
+        } = arena;
+        let n_nodes = self.nodes.len();
+        let max_batch = slots.len();
+        let (live, suffix) = match source {
+            Source::Images(images) => {
+                let n = images.len();
+                assert!(n > 0, "empty batch");
+                assert!(
+                    n <= max_batch,
+                    "batch of {n} exceeds the arena's {max_batch} slots"
+                );
+                for (slot, image) in slots.iter_mut().zip(images) {
+                    assert_eq!(
+                        image.dims(),
+                        self.input_dims(),
+                        "image shape does not match network input"
+                    );
+                    if validate.check_input {
+                        image
+                            .validate_finite()
+                            .map_err(|source| ExecError::NonFiniteInput { source })?;
+                    }
+                    slot.acts.tensors[0].copy_from(image);
+                }
+                affected.clear();
+                affected.resize(n_nodes, true);
+                mupod_obs::counter_add("nn.forward_passes", n as u64);
+                mupod_obs::counter_add("nn.node_evals", (n * (n_nodes - 1)) as u64);
+                if max_batch > 1 {
+                    mupod_obs::counter_add("nn.batch_passes", 1);
+                    mupod_obs::counter_add("nn.batch_images", n as u64);
+                }
+                (&mut slots[..n], None)
+            }
+            Source::Suffix { base, start } => {
+                assert_eq!(
+                    base.len(),
+                    n_nodes,
+                    "activation cache does not match network"
+                );
+                assert!(
+                    self.nodes[start.0].op.is_dot_product(),
+                    "suffix replay must start at a dot-product layer"
+                );
+                affected.clear();
+                affected.resize(n_nodes, false);
+                affected[start.0] = true;
+                for i in (start.0 + 1)..n_nodes {
+                    affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
+                }
+                mupod_obs::counter_add("nn.suffix_replays", 1);
+                mupod_obs::counter_add(
+                    "nn.node_evals",
+                    affected.iter().filter(|&&a| a).count() as u64,
+                );
+                (&mut slots[..1], Some((base, start)))
+            }
+        };
+        let affected: &[bool] = affected;
+        for slot in live.iter() {
+            assert_eq!(
+                slot.acts.tensors.len(),
+                n_nodes,
+                "arena does not match network"
+            );
+        }
+        let first = suffix.map_or(1, |(_, start)| start.0);
+        for (i, node) in self.nodes.iter().enumerate().skip(first) {
+            if !affected[i] {
+                continue;
+            }
+            let id = NodeId(i);
+            let fanin = node.inputs.len();
+            assert!(
+                fanin <= MAX_FANIN,
+                "node `{}` has {fanin} inputs, more than {MAX_FANIN}",
+                node.name
+            );
+            let tapped = match suffix {
+                Some((_, start)) => id == start,
+                None => node.op.is_dot_product() && tap.wants(id),
+            };
+            for chunk in live.chunks_mut(BATCH_CHUNK) {
+                let m = chunk.len();
+                // Each slot's operands: recomputed inputs from the slot
+                // itself, the rest of a suffix run's from the clean cache,
+                // and a tapped data input perturbed in the slot's scratch.
+                let gathered = chunk.iter_mut().map(|Slot { acts, tap_in }| {
+                    let (prev, rest) = acts.tensors.split_at_mut(i);
+                    let prev: &[Tensor] = prev;
+                    let resolve = |p: NodeId| match suffix {
+                        Some((base, _)) if !affected[p.0] => base.get(p),
+                        _ => &prev[p.0],
+                    };
+                    let mut ins = [resolve(node.inputs[0]); MAX_FANIN];
+                    for (slot, &p) in ins.iter_mut().zip(&node.inputs) {
+                        *slot = resolve(p);
+                    }
+                    if tapped {
+                        let scratch = tap_in[i].get_or_insert_with(|| ins[0].clone());
+                        scratch.copy_from(ins[0]);
+                        tap.apply(id, scratch);
+                        ins[0] = scratch;
+                    }
+                    (ins, &mut rest[0])
+                });
+                let Op::Conv2d {
+                    params,
+                    weight,
+                    bias,
+                } = &node.op
+                else {
+                    for (ins, out) in gathered {
+                        eval_op_into(&node.op, &ins[..fanin], out, *tier);
+                    }
+                    continue;
+                };
+                // The chunk's convolutions run as one batched GEMM per
+                // group; entries past `m` keep a placeholder and are unread.
+                let mut conv_in = [weight; BATCH_CHUNK];
+                let mut conv_out: [&mut [f32]; BATCH_CHUNK] = Default::default();
+                for (b, (ins, out)) in gathered.enumerate() {
+                    conv_in[b] = ins[0];
+                    conv_out[b] = out.data_mut();
+                }
+                conv2d_batch_into(
+                    *tier,
+                    &conv_in[..m],
+                    weight,
+                    Some(bias),
+                    params,
+                    patches,
+                    gemm_out,
+                    &mut conv_out[..m],
+                );
+            }
+            if validate.check_activations {
+                for slot in live.iter() {
+                    slot.acts.tensors[i].validate_finite().map_err(|source| {
+                        ExecError::NonFiniteActivation {
+                            node: id,
+                            name: node.name.clone(),
+                            source,
+                        }
+                    })?;
+                }
+            }
+        }
+        Ok(match suffix {
+            Some((base, _)) if !affected[self.output.0] => base.get(self.output),
+            _ => &live[0].acts.tensors[self.output.0],
+        })
+    }
+
+    /// Unvalidated single-image run: the logits of `image`.
+    pub(crate) fn run_clean<'s>(&self, image: &'s Tensor, arena: &'s mut ExecArena) -> &'s Tensor {
+        match self.run(Run::image(image), arena) {
+            Ok(logits) => logits,
+            // lint:allow(no-panic-path) reason=only a validated run can fail and this one validates nothing; the arm is unreachable by construction
+            Err(_) => unreachable!("unvalidated run cannot fail"),
+        }
+    }
+
+    /// Runs a clean forward pass on a throwaway [`ExecArena`], returning
+    /// every activation. Runs on the exact tier.
     ///
     /// # Panics
     ///
     /// Panics if `image` does not match [`Network::input_dims`].
     pub fn forward(&self, image: &Tensor) -> Activations {
-        self.forward_tapped(image, &mut crate::tap::NoTap)
-    }
-
-    /// Runs a forward pass, letting `tap` perturb the data input of each
-    /// dot-product layer it claims (noise injection / quantization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_tapped(&self, image: &Tensor, tap: &mut dyn InputTap) -> Activations {
-        assert_eq!(
-            image.dims(),
-            self.input_dims(),
-            "image shape does not match network input"
-        );
-        mupod_obs::counter_add("nn.forward_passes", 1);
-        mupod_obs::counter_add("nn.node_evals", self.nodes.len() as u64 - 1);
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        tensors.push(image.clone());
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let id = NodeId(i);
-            let out = if node.op.is_dot_product() && tap.wants(id) {
-                let mut data_in = tensors[node.inputs[0].0].clone();
-                tap.apply(id, &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node.inputs.iter().map(|p| &tensors[p.0]).collect();
-                eval_op(&node.op, &inputs)
-            };
-            tensors.push(out);
-        }
-        Activations { tensors }
+        let mut arena = ExecArena::for_network(self);
+        self.run_clean(image, &mut arena);
+        arena.into_activations()
     }
 
     /// The output (logits) tensor of a completed pass.
@@ -362,230 +690,24 @@ impl Network {
         acts.get(self.output)
     }
 
-    /// Nodes affected by a perturbation at the data input of `start`:
-    /// `start` itself plus everything downstream of it.
-    pub(crate) fn affected_from(&self, start: NodeId) -> Vec<bool> {
-        let mut affected = vec![false; self.nodes.len()];
-        affected[start.0] = true;
-        for i in (start.0 + 1)..self.nodes.len() {
-            affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
-        }
-        affected
-    }
-
-    /// Replays only the suffix of the graph affected by perturbing the
-    /// data input of `start`, reading clean operands from `base`.
-    ///
-    /// Returns the resulting output (logits) tensor. `tap` is applied
-    /// exactly once, to `start`'s data input. This is the workhorse of
-    /// the paper's profiling loop (§V-A steps 3–4): the clean activations
-    /// are computed once per image, then each (layer, Δ) pair replays
-    /// only the downstream part.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a dot-product layer, or `base` does not
-    /// belong to this network.
-    pub fn forward_suffix(
-        &self,
-        base: &Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-    ) -> Tensor {
-        assert_eq!(
-            base.len(),
-            self.nodes.len(),
-            "activation cache does not match network"
-        );
-        assert!(
-            self.nodes[start.0].op.is_dot_product(),
-            "suffix replay must start at a dot-product layer"
-        );
-        let affected = self.affected_from(start);
-        mupod_obs::counter_add("nn.suffix_replays", 1);
-        mupod_obs::counter_add(
-            "nn.node_evals",
-            affected.iter().filter(|&&a| a).count() as u64,
-        );
-        let mut fresh: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for i in start.0..self.nodes.len() {
-            if !affected[i] {
-                continue;
-            }
-            let node = &self.nodes[i];
-            let out = if i == start.0 {
-                let mut data_in = base.get(node.inputs[0]).clone();
-                tap.apply(NodeId(i), &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|p| fresh[p.0].as_ref().unwrap_or_else(|| base.get(*p)))
-                    .collect();
-                eval_op(&node.op, &inputs)
-            };
-            fresh[i] = Some(out);
-        }
-        fresh[self.output.0]
-            .take()
-            .unwrap_or_else(|| base.get(self.output).clone())
-    }
-
-    /// Runs a clean forward pass with numerical validation at every layer
-    /// boundary (default [`ValidateConfig`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::NonFiniteInput`] for a bad image and
-    /// [`ExecError::NonFiniteActivation`] naming the first layer whose
-    /// output contains NaN/Inf.
+    /// Classifies an image: the argmax of the logits after a clean pass
+    /// on a throwaway exact-tier arena.
     ///
     /// # Panics
     ///
     /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_checked(&self, image: &Tensor) -> Result<Activations, ExecError> {
-        self.forward_tapped_checked(image, &mut crate::tap::NoTap, ValidateConfig::default())
-    }
-
-    /// Runs a tapped forward pass with numerical validation.
-    ///
-    /// Equivalent to [`Network::forward_tapped`] plus a finiteness sweep
-    /// over the image (if `cfg.check_input`) and over each produced
-    /// activation (if `cfg.check_activations`). The tap may itself inject
-    /// non-finite values — that is exactly what the fault-injection
-    /// harness does — and the sweep attributes the fault to the first
-    /// layer whose *output* carries it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Network::forward_checked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not match [`Network::input_dims`].
-    pub fn forward_tapped_checked(
-        &self,
-        image: &Tensor,
-        tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-    ) -> Result<Activations, ExecError> {
-        assert_eq!(
-            image.dims(),
-            self.input_dims(),
-            "image shape does not match network input"
-        );
-        if cfg.check_input {
-            image
-                .validate_finite()
-                .map_err(|source| ExecError::NonFiniteInput { source })?;
-        }
-        mupod_obs::counter_add("nn.forward_passes", 1);
-        mupod_obs::counter_add("nn.node_evals", self.nodes.len() as u64 - 1);
-        let mut tensors: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
-        tensors.push(image.clone());
-        for (i, node) in self.nodes.iter().enumerate().skip(1) {
-            let id = NodeId(i);
-            let out = if node.op.is_dot_product() && tap.wants(id) {
-                let mut data_in = tensors[node.inputs[0].0].clone();
-                tap.apply(id, &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node.inputs.iter().map(|p| &tensors[p.0]).collect();
-                eval_op(&node.op, &inputs)
-            };
-            if cfg.check_activations {
-                out.validate_finite()
-                    .map_err(|source| ExecError::NonFiniteActivation {
-                        node: id,
-                        name: node.name.clone(),
-                        source,
-                    })?;
-            }
-            tensors.push(out);
-        }
-        Ok(Activations { tensors })
-    }
-
-    /// Suffix replay with numerical validation over the recomputed nodes.
-    ///
-    /// Validated counterpart of [`Network::forward_suffix`]: only the
-    /// affected suffix is swept (the clean prefix in `base` was already
-    /// validated when it was produced).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::NonFiniteActivation`] naming the first
-    /// recomputed layer whose output contains NaN/Inf.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Network::forward_suffix`].
-    pub fn forward_suffix_checked(
-        &self,
-        base: &Activations,
-        start: NodeId,
-        tap: &mut dyn InputTap,
-        cfg: ValidateConfig,
-    ) -> Result<Tensor, ExecError> {
-        assert_eq!(
-            base.len(),
-            self.nodes.len(),
-            "activation cache does not match network"
-        );
-        assert!(
-            self.nodes[start.0].op.is_dot_product(),
-            "suffix replay must start at a dot-product layer"
-        );
-        let affected = self.affected_from(start);
-        mupod_obs::counter_add("nn.suffix_replays", 1);
-        mupod_obs::counter_add(
-            "nn.node_evals",
-            affected.iter().filter(|&&a| a).count() as u64,
-        );
-        let mut fresh: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for i in start.0..self.nodes.len() {
-            if !affected[i] {
-                continue;
-            }
-            let node = &self.nodes[i];
-            let out = if i == start.0 {
-                let mut data_in = base.get(node.inputs[0]).clone();
-                tap.apply(NodeId(i), &mut data_in);
-                eval_op(&node.op, &[&data_in])
-            } else {
-                let inputs: Vec<&Tensor> = node
-                    .inputs
-                    .iter()
-                    .map(|p| fresh[p.0].as_ref().unwrap_or_else(|| base.get(*p)))
-                    .collect();
-                eval_op(&node.op, &inputs)
-            };
-            if cfg.check_activations {
-                out.validate_finite()
-                    .map_err(|source| ExecError::NonFiniteActivation {
-                        node: NodeId(i),
-                        name: node.name.clone(),
-                        source,
-                    })?;
-            }
-            fresh[i] = Some(out);
-        }
-        Ok(fresh[self.output.0]
-            .take()
-            .unwrap_or_else(|| base.get(self.output).clone()))
-    }
-
-    /// Classifies an image: the argmax of the logits after a clean pass.
     pub fn classify(&self, image: &Tensor) -> usize {
-        let acts = self.forward(image);
-        self.output(&acts).argmax()
+        self.classify_arena(image, &mut ExecArena::for_network(self))
     }
 
-    /// Classifies an image under a tap (noisy / quantized inference).
-    pub fn classify_tapped(&self, image: &Tensor, tap: &mut dyn InputTap) -> usize {
-        let acts = self.forward_tapped(image, tap);
-        self.output(&acts).argmax()
+    /// [`Network::classify`] over a reusable arena, on its tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` does not match [`Network::input_dims`] or the
+    /// arena was built for a different network.
+    pub fn classify_arena(&self, image: &Tensor, arena: &mut ExecArena) -> usize {
+        self.run_clean(image, arena).argmax()
     }
 }
 
@@ -593,7 +715,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::graph::NetworkBuilder;
-    use crate::tap::{NoTap, UniformNoiseTap};
+    use crate::tap::{FaultKind, FaultTap, UniformNoiseTap};
     use mupod_stats::SeededRng;
     use mupod_tensor::conv::Conv2dParams;
     use mupod_tensor::pool::Pool2dParams;
@@ -607,7 +729,7 @@ mod tests {
     }
 
     /// A net exercising every op: conv, affine, relu, pools, lrn,
-    /// residual add, concat, flatten, fc, softmax.
+    /// residual add, concat, flatten, fc.
     fn full_net(rng: &mut SeededRng) -> Network {
         let mut b = NetworkBuilder::new(&[2, 8, 8]);
         let input = b.input();
@@ -651,6 +773,32 @@ mod tests {
         b.build(fc).unwrap()
     }
 
+    fn tiny_net(rng: &mut SeededRng) -> Network {
+        let mut b = NetworkBuilder::new(&[1, 6, 6]);
+        let input = b.input();
+        let c = b.conv2d(
+            "c",
+            input,
+            Conv2dParams::new(1, 3, 3, 1, 1),
+            random_tensor(rng, &[3, 1, 3, 3]),
+            vec![0.1; 3],
+        );
+        let r = b.relu("r", c);
+        let g = b.global_avg_pool("g", r);
+        b.build(g).unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn softmax(v: Vec<f32>) -> Tensor {
+        let input = Tensor::from_vec(&[v.len()], v);
+        let mut out = Tensor::zeros(input.dims());
+        eval_op_into(&Op::Softmax, &[&input], &mut out, KernelTier::Exact);
+        out
+    }
+
     #[test]
     fn forward_shapes_all_ops() {
         let mut rng = SeededRng::new(3);
@@ -663,10 +811,7 @@ mod tests {
 
     #[test]
     fn softmax_sums_to_one() {
-        let out = eval_op(
-            &Op::Softmax,
-            &[&Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0])],
-        );
+        let out = softmax(vec![1.0, 2.0, 3.0]);
         let sum: f32 = out.data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(out.data()[2] > out.data()[1]);
@@ -674,11 +819,29 @@ mod tests {
 
     #[test]
     fn softmax_is_stable_for_large_logits() {
-        let out = eval_op(
-            &Op::Softmax,
-            &[&Tensor::from_vec(&[2], vec![1000.0, 1001.0])],
-        );
+        let out = softmax(vec![1000.0, 1001.0]);
         assert!(out.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn warm_arena_matches_fresh_arena() {
+        let mut rng = SeededRng::new(3);
+        let net = full_net(&mut rng);
+        let mut arena = ExecArena::for_network(&net);
+        // Several images through the SAME arena: warm-slot reuse must not
+        // leak state between passes.
+        for seed in 0..4u64 {
+            let image = random_tensor(&mut SeededRng::new(100 + seed), &[2, 8, 8]);
+            let fresh = net.forward(&image);
+            net.run(Run::image(&image), &mut arena).unwrap();
+            for i in 0..net.node_count() {
+                assert_eq!(
+                    bits(fresh.get(NodeId(i))),
+                    bits(arena.activations(0).get(NodeId(i))),
+                    "node {i} diverged on image {seed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -687,21 +850,18 @@ mod tests {
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
-
+        let mut arena = ExecArena::for_network(&net);
         for &layer in &net.dot_product_layers() {
             // The same seeded tap must produce identical outputs whether
             // we replay the suffix or rerun the full network.
-            let mut tap_a = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let suffix_out = net.forward_suffix(&base, layer, &mut tap_a);
-
-            let mut tap_b = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
-            let full = net.forward_tapped(&image, &mut tap_b);
-            let full_out = net.output(&full);
-
-            assert_eq!(suffix_out.dims(), full_out.dims());
-            for (a, b) in suffix_out.data().iter().zip(full_out.data()) {
-                assert!((a - b).abs() < 1e-5, "layer {layer}: {a} vs {b}");
-            }
+            let mut tap = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
+            let suffix = net
+                .run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+                .unwrap()
+                .clone();
+            let mut tap = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
+            let full = net.run(Run::image(&image).tap(&mut tap), &mut arena);
+            assert_eq!(bits(&suffix), bits(full.unwrap()), "layer {layer}");
         }
     }
 
@@ -712,10 +872,9 @@ mod tests {
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[1];
-        let out = net.forward_suffix(&base, layer, &mut NoTap);
-        for (a, b) in out.data().iter().zip(net.output(&base).data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let mut arena = ExecArena::for_network(&net);
+        let out = net.run(Run::suffix(&base, layer), &mut arena).unwrap();
+        assert_eq!(bits(out), bits(net.output(&base)));
     }
 
     #[test]
@@ -726,9 +885,31 @@ mod tests {
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[0];
         let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
-        let noisy = net.forward_suffix(&base, layer, &mut tap);
-        let diff = noisy.sub(net.output(&base));
-        assert!(diff.max_abs() > 0.0);
+        let mut arena = ExecArena::for_network(&net);
+        let noisy = net
+            .run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+            .unwrap();
+        assert!(noisy.sub(net.output(&base)).max_abs() > 0.0);
+    }
+
+    #[test]
+    fn suffix_then_forward_does_not_leak_state() {
+        // A suffix replay leaves stale values in unaffected slots; a
+        // subsequent full forward must overwrite every slot it reads.
+        let mut rng = SeededRng::new(15);
+        let net = full_net(&mut rng);
+        let mut arena = ExecArena::for_network(&net);
+        let image = random_tensor(&mut rng, &[2, 8, 8]);
+        let base = net.forward(&image);
+        let layer = *net.dot_product_layers().last().unwrap();
+        let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
+        net.run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+            .unwrap();
+
+        let image2 = random_tensor(&mut rng, &[2, 8, 8]);
+        let fresh = net.forward(&image2);
+        let warm = net.run(Run::image(&image2), &mut arena).unwrap();
+        assert_eq!(bits(net.output(&fresh)), bits(warm));
     }
 
     #[test]
@@ -737,7 +918,9 @@ mod tests {
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let acts = net.forward(&image);
+        let mut arena = ExecArena::for_network(&net);
         assert_eq!(net.classify(&image), net.output(&acts).argmax());
+        assert_eq!(net.classify_arena(&image, &mut arena), net.classify(&image));
     }
 
     #[test]
@@ -753,11 +936,12 @@ mod tests {
         let mut rng = SeededRng::new(21);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
-        let acts = net.forward_checked(&image).unwrap();
         let plain = net.forward(&image);
+        let mut arena = ExecArena::for_network(&net);
+        let checked = Run::image(&image).validate(ValidateConfig::default());
         assert_eq!(
-            net.output(&acts).data(),
-            net.output(&plain).data(),
+            bits(net.run(checked, &mut arena).unwrap()),
+            bits(net.output(&plain)),
             "validation must not change the numbers"
         );
     }
@@ -768,7 +952,9 @@ mod tests {
         let net = full_net(&mut rng);
         let mut image = random_tensor(&mut rng, &[2, 8, 8]);
         image.data_mut()[7] = f32::NAN;
-        match net.forward_checked(&image).unwrap_err() {
+        let mut arena = ExecArena::for_network(&net);
+        let checked = Run::image(&image).validate(ValidateConfig::default());
+        match net.run(checked, &mut arena).unwrap_err() {
             ExecError::NonFiniteInput { .. } => {}
             e => panic!("expected NonFiniteInput, got {e:?}"),
         }
@@ -776,16 +962,16 @@ mod tests {
 
     #[test]
     fn checked_pass_blames_first_faulty_layer() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(25);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let layer = net.dot_product_layers()[1];
         let mut tap = FaultTap::single_element(layer, FaultKind::Nan);
-        match net
-            .forward_tapped_checked(&image, &mut tap, ValidateConfig::default())
-            .unwrap_err()
-        {
+        let mut arena = ExecArena::for_network(&net);
+        let run = Run::image(&image)
+            .tap(&mut tap)
+            .validate(ValidateConfig::default());
+        match net.run(run, &mut arena).unwrap_err() {
             // The NaN enters via the tapped layer's input, so the tapped
             // layer itself is the first to emit a non-finite output.
             ExecError::NonFiniteActivation { node, .. } => assert_eq!(node, layer),
@@ -795,16 +981,17 @@ mod tests {
 
     #[test]
     fn checked_suffix_replay_detects_injected_inf() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(27);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[0];
         let mut tap = FaultTap::new(layer, FaultKind::PosInf, 1);
-        let err = net
-            .forward_suffix_checked(&base, layer, &mut tap, ValidateConfig::default())
-            .unwrap_err();
+        let mut arena = ExecArena::for_network(&net);
+        let run = Run::suffix(&base, layer)
+            .tap(&mut tap)
+            .validate(ValidateConfig::default());
+        let err = net.run(run, &mut arena).unwrap_err();
         assert!(matches!(err, ExecError::NonFiniteActivation { .. }));
         let msg = err.to_string();
         assert!(msg.contains("numerically invalid"), "{msg}");
@@ -812,33 +999,81 @@ mod tests {
 
     #[test]
     fn validation_off_passes_faults_through() {
-        use crate::tap::{FaultKind, FaultTap};
         let mut rng = SeededRng::new(29);
         let net = full_net(&mut rng);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let layer = net.dot_product_layers()[0];
         let mut tap = FaultTap::single_element(layer, FaultKind::Nan);
+        let mut arena = ExecArena::for_network(&net);
         // With checks off the pass completes without complaint even
         // though a NaN flowed through it — max-based ops (ReLU, pooling)
         // can even launder it back into finite-but-wrong values. This is
         // exactly the silent corruption the guardrails exist to prevent.
-        assert!(net
-            .forward_tapped_checked(&image, &mut tap, ValidateConfig::off())
-            .is_ok());
+        let run = Run::image(&image)
+            .tap(&mut tap)
+            .validate(ValidateConfig::off());
+        assert!(net.run(run, &mut arena).is_ok());
     }
 
     #[test]
-    fn affected_set_is_downstream_closure() {
-        let mut rng = SeededRng::new(19);
-        let net = full_net(&mut rng);
-        let layers = net.dot_product_layers();
-        let first = layers[0];
-        let affected = net.affected_from(first);
-        // Everything from the first conv onward is downstream of it in
-        // this topology.
-        assert!(affected[first.index()]);
-        assert!(affected[net.output_id().index()]);
-        // The input placeholder is never affected.
-        assert!(!affected[0]);
+    fn batch_classify_matches_sequential_classify() {
+        let mut rng = SeededRng::new(21);
+        let net = tiny_net(&mut rng);
+        // 20 images span three stack-gathered chunks of the batched conv.
+        let mut batch = ExecArena::new(&net, 20, KernelTier::Exact);
+        let images: Vec<Tensor> = (0..20)
+            .map(|_| random_tensor(&mut rng, &[1, 6, 6]))
+            .collect();
+        net.run(Run::images(&images), &mut batch).unwrap();
+        for (b, image) in images.iter().enumerate() {
+            let seq = net.forward(image);
+            assert_eq!(
+                bits(net.output(batch.activations(b))),
+                bits(net.output(&seq)),
+                "image {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_batches_reuse_the_same_arena() {
+        let mut rng = SeededRng::new(23);
+        let net = tiny_net(&mut rng);
+        let mut batch = ExecArena::new(&net, 4, KernelTier::Exact);
+        // Warm every slot with one full batch, then run a smaller one:
+        // stale slot 3 state must not bleed into the partial pass.
+        let warm: Vec<Tensor> = (0..4)
+            .map(|_| random_tensor(&mut rng, &[1, 6, 6]))
+            .collect();
+        net.run(Run::images(&warm), &mut batch).unwrap();
+        let small: Vec<Tensor> = (0..2)
+            .map(|_| random_tensor(&mut rng, &[1, 6, 6]))
+            .collect();
+        net.run(Run::images(&small), &mut batch).unwrap();
+        for (b, image) in small.iter().enumerate() {
+            let got = net.output(batch.activations(b)).argmax();
+            assert_eq!(got, net.classify(image));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty batch")]
+    fn empty_batch_is_rejected() {
+        let mut rng = SeededRng::new(25);
+        let net = tiny_net(&mut rng);
+        let mut batch = ExecArena::new(&net, 2, KernelTier::Exact);
+        let _ = net.run(Run::images(&[]), &mut batch);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the arena")]
+    fn oversized_batch_is_rejected() {
+        let mut rng = SeededRng::new(27);
+        let net = tiny_net(&mut rng);
+        let mut batch = ExecArena::new(&net, 2, KernelTier::Exact);
+        let images: Vec<Tensor> = (0..3)
+            .map(|_| random_tensor(&mut rng, &[1, 6, 6]))
+            .collect();
+        let _ = net.run(Run::images(&images), &mut batch);
     }
 }

@@ -1,5 +1,6 @@
 //! Network construction and validation.
 
+use crate::exec::op_output_dims;
 use crate::layer::{Node, NodeId, Op};
 use mupod_quant::FixedPointFormat;
 use mupod_tensor::conv::Conv2dParams;
@@ -453,17 +454,20 @@ impl NetworkBuilder {
             output,
             out_dims: vec![],
         };
-        // Dry run to validate shapes; tensor kernels panic on mismatch,
-        // so trap the panic and convert it into a build error.
-        let zero = Tensor::zeros(&net.input_dims.clone());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.forward(&zero)));
-        match result {
-            Ok(acts) => {
-                net.out_dims = (0..net.nodes.len())
-                    .map(|i| acts.get(NodeId(i)).dims().to_vec())
-                    .collect();
-                Ok(net)
+        // Record every node's output shape, then dry-run the network to
+        // validate them; shape inference and the tensor kernels panic on
+        // a mismatch, so trap the panic and convert it into a build error.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut dims = vec![net.input_dims.clone()];
+            for node in &net.nodes[1..] {
+                let ins: Vec<&[usize]> = node.inputs.iter().map(|p| &dims[p.0][..]).collect();
+                dims.push(op_output_dims(&node.op, &ins));
             }
+            net.out_dims = dims;
+            net.forward(&Tensor::zeros(&net.input_dims));
+        }));
+        match result {
+            Ok(()) => Ok(net),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<String>()

@@ -6,6 +6,7 @@
 //! the integer bitwidth). [`LayerInventory`] computes the first two from
 //! the graph geometry and measures the third over a set of images.
 
+use crate::exec::ExecArena;
 use crate::graph::Network;
 use crate::layer::{NodeId, Op};
 use mupod_quant::FixedPointFormat;
@@ -95,8 +96,10 @@ impl LayerInventory {
             })
             .collect();
 
+        let mut arena = ExecArena::for_network(net);
         for image in images {
-            let acts = net.forward(&image);
+            net.run_clean(&image, &mut arena);
+            let acts = arena.activations(0);
             for info in &mut layers {
                 let producer = net.node(info.node).inputs[0];
                 let ma = acts.get(producer).max_abs() as f64;

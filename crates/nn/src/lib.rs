@@ -4,18 +4,21 @@
 //! This crate is the execution substrate of the MUPOD reproduction. A
 //! [`Network`] is a DAG of [`Node`]s (convolution, fully-connected, ReLU,
 //! pooling, LRN, batch-norm, element-wise add, concat, …) evaluated in
-//! topological order on single images. Three capabilities distinguish it
-//! from a plain inference engine, because the paper's method needs them:
+//! topological order by one executor, [`Network::run`], over a reusable
+//! [`ExecArena`] and a batch of one or more images. Three capabilities
+//! distinguish it from a plain inference engine, because the paper's
+//! method needs them:
 //!
-//! * **Input taps** ([`tap::InputTap`]): any pass can perturb the *input
-//!   operand* of chosen dot-product layers — adding uniform noise
-//!   `U[-Δ_K, Δ_K]` (the profiling step of §V-A and Scheme 1 of §V-C) or
-//!   rounding to a fixed-point grid (final validation).
-//! * **Suffix re-execution** ([`Network::forward_suffix`]): injecting at
-//!   layer `K` only affects layers downstream of `K`, so the clean
-//!   activations are cached once per image and only the affected suffix
-//!   is recomputed. This is what makes profiling a 156-layer ResNet
-//!   tractable (§VI-A's "a few minutes" claim).
+//! * **Input taps** ([`tap::InputTap`], [`Run::tap`]): any pass can
+//!   perturb the *input operand* of chosen dot-product layers — adding
+//!   uniform noise `U[-Δ_K, Δ_K]` (the profiling step of §V-A and
+//!   Scheme 1 of §V-C) or rounding to a fixed-point grid (final
+//!   validation).
+//! * **Suffix re-execution** ([`Run::suffix`]): injecting at layer `K`
+//!   only affects layers downstream of `K`, so the clean activations are
+//!   cached once per image and only the affected suffix is recomputed.
+//!   This is what makes profiling a 156-layer ResNet tractable (§VI-A's
+//!   "a few minutes" claim).
 //! * **Layer inventory** ([`Network::dot_product_layers`],
 //!   [`inventory::LayerInventory`]): per-layer input-element counts,
 //!   MAC counts and observed dynamic ranges `max|X_K|` — the `ρ_K`
@@ -45,8 +48,6 @@
 //! assert_eq!(net.output(&acts).dims(), &[2]);
 //! ```
 
-mod arena;
-mod batch;
 mod describe;
 mod exec;
 mod graph;
@@ -54,9 +55,7 @@ pub mod inventory;
 mod layer;
 pub mod tap;
 
-pub use arena::ExecArena;
-pub use batch::BatchArena;
-pub use exec::{Activations, ExecError, ValidateConfig};
+pub use exec::{Activations, ExecArena, ExecError, Run, ValidateConfig};
 pub use graph::{BuildError, Network, NetworkBuilder};
 pub use layer::{Node, NodeId, Op};
 pub use mupod_tensor::KernelTier;

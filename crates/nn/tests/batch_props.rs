@@ -1,12 +1,12 @@
-//! Property tests: batch-N forward is **bit-identical** to N sequential
-//! single-image arena forwards, across batch sizes, shapes, and a graph
+//! Property tests: a batch-N run is **bit-identical** to N sequential
+//! single-image runs, across batch sizes, shapes, and a graph
 //! exercising every operator (including grouped and depthwise conv).
 //!
 //! This equivalence is the correctness backbone of `mupod-serve`: the
 //! server may batch requests opportunistically, so a batched request
 //! must receive exactly the bits a solo request would have.
 
-use mupod_nn::{BatchArena, ExecArena, Network, NetworkBuilder, NodeId};
+use mupod_nn::{ExecArena, KernelTier, Network, NetworkBuilder, NodeId, Run};
 use mupod_stats::SeededRng;
 use mupod_tensor::conv::Conv2dParams;
 use mupod_tensor::pool::Pool2dParams;
@@ -91,16 +91,17 @@ proptest! {
         batch in 1usize..=5,
     ) {
         let net = random_net(net_seed);
-        let mut batched = BatchArena::for_network(&net, batch);
+        let mut batched = ExecArena::new(&net, batch, KernelTier::Exact);
         let mut single = ExecArena::for_network(&net);
         let mut rng = SeededRng::new(img_seed);
         let images: Vec<Tensor> = (0..batch)
             .map(|_| random_tensor(&mut rng, &[2, 8, 8]))
             .collect();
 
-        net.forward_batch_arena(&images, &mut batched);
+        net.run(Run::images(&images), &mut batched).unwrap();
         for (b, image) in images.iter().enumerate() {
-            let seq = net.forward_arena(image, &mut single);
+            net.run(Run::image(image), &mut single).unwrap();
+            let seq = single.activations(0);
             for i in 0..net.node_count() {
                 prop_assert_eq!(
                     bits(batched.activations(b).get(NodeId::from_index_for_tests(i))),
@@ -122,22 +123,25 @@ proptest! {
         // Scratch grown by a large batch must not perturb a later small
         // one (and vice versa): the warm arena is still bit-identical.
         let net = random_net(net_seed);
-        let mut batched = BatchArena::for_network(&net, 4);
+        let mut batched = ExecArena::new(&net, 4, KernelTier::Exact);
         let mut single = ExecArena::for_network(&net);
         let mut rng = SeededRng::new(img_seed);
         for n in [first, second] {
             let images: Vec<Tensor> = (0..n)
                 .map(|_| random_tensor(&mut rng, &[2, 8, 8]))
                 .collect();
-            let classes = net.classify_batch_arena(&images, &mut batched);
+            net.run(Run::images(&images), &mut batched).unwrap();
             for (b, image) in images.iter().enumerate() {
-                let seq = net.forward_arena(image, &mut single);
+                let seq = net.run(Run::image(image), &mut single).unwrap();
                 prop_assert_eq!(
                     bits(batched.activations(b).get(net.output_id())),
-                    bits(seq.get(net.output_id())),
+                    bits(seq),
                     "logits diverged for image {} of pass n={}", b, n
                 );
-                prop_assert_eq!(classes[b], net.output(seq).argmax());
+                prop_assert_eq!(
+                    net.output(batched.activations(b)).argmax(),
+                    net.classify(image)
+                );
             }
         }
     }

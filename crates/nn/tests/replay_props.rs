@@ -1,11 +1,12 @@
-//! Property tests: suffix replay is exactly equivalent to a full tapped
-//! pass, on randomized weights, images, layers, and noise magnitudes.
+//! Property tests: the executor's suffix mode is bit-identical to its
+//! full tapped mode, on randomized weights, images, layers, and noise
+//! magnitudes.
 //!
 //! This equivalence is the correctness backbone of the profiler — if it
 //! drifted, every `λ_K`/`θ_K` measured with the fast path would be wrong.
 
-use mupod_nn::tap::{QuantizeTap, UniformNoiseTap};
-use mupod_nn::{Network, NetworkBuilder};
+use mupod_nn::tap::{InputTap, QuantizeTap, UniformNoiseTap};
+use mupod_nn::{ExecArena, Network, NetworkBuilder, NodeId, Run};
 use mupod_quant::FixedPointFormat;
 use mupod_stats::SeededRng;
 use mupod_tensor::conv::Conv2dParams;
@@ -63,6 +64,29 @@ fn random_net(seed: u64) -> Network {
     b.build(fc).expect("random net builds")
 }
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Logits of a suffix replay from `layer` under `tap_a` and of a full
+/// pass over `image` under `tap_b`, through one arena.
+fn suffix_and_full(
+    net: &Network,
+    image: &Tensor,
+    layer: NodeId,
+    tap_a: &mut dyn InputTap,
+    tap_b: &mut dyn InputTap,
+) -> (Vec<u32>, Vec<u32>) {
+    let base = net.forward(image);
+    let mut arena = ExecArena::for_network(net);
+    let suffix = bits(
+        net.run(Run::suffix(&base, layer).tap(tap_a), &mut arena)
+            .unwrap(),
+    );
+    let full = bits(net.run(Run::image(image).tap(tap_b), &mut arena).unwrap());
+    (suffix, full)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -79,18 +103,10 @@ proptest! {
         let layer = layers[layer_idx % layers.len()];
         let mut rng = SeededRng::new(img_seed);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
-        let base = net.forward(&image);
-
         let mut tap_a = UniformNoiseTap::single(layer, delta, SeededRng::new(noise_seed));
-        let suffix = net.forward_suffix(&base, layer, &mut tap_a);
-
         let mut tap_b = UniformNoiseTap::single(layer, delta, SeededRng::new(noise_seed));
-        let full = net.forward_tapped(&image, &mut tap_b);
-        let full_out = net.output(&full);
-
-        for (a, b) in suffix.data().iter().zip(full_out.data()) {
-            prop_assert!((a - b).abs() < 1e-4, "suffix {a} vs full {b}");
-        }
+        let (suffix, full) = suffix_and_full(&net, &image, layer, &mut tap_a, &mut tap_b);
+        prop_assert_eq!(suffix, full);
     }
 
     #[test]
@@ -105,17 +121,12 @@ proptest! {
         let layer = layers[layer_idx % layers.len()];
         let mut rng = SeededRng::new(img_seed);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
-        let base = net.forward(&image);
         let fmt = FixedPointFormat::new(8, frac_bits);
 
         let mut tap_a = QuantizeTap::new([(layer, fmt)].into_iter().collect());
-        let suffix = net.forward_suffix(&base, layer, &mut tap_a);
         let mut tap_b = QuantizeTap::new([(layer, fmt)].into_iter().collect());
-        let full = net.forward_tapped(&image, &mut tap_b);
-        let full_out = net.output(&full);
-        for (a, b) in suffix.data().iter().zip(full_out.data()) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
+        let (suffix, full) = suffix_and_full(&net, &image, layer, &mut tap_a, &mut tap_b);
+        prop_assert_eq!(suffix, full);
     }
 
     #[test]
@@ -130,9 +141,8 @@ proptest! {
         let mut rng = SeededRng::new(img_seed);
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
-        let out = net.forward_suffix(&base, layer, &mut mupod_nn::tap::NoTap);
-        for (a, b) in out.data().iter().zip(net.output(&base).data()) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
+        let mut arena = ExecArena::for_network(&net);
+        let out = net.run(Run::suffix(&base, layer), &mut arena).unwrap();
+        prop_assert_eq!(bits(out), bits(net.output(&base)));
     }
 }

@@ -4,7 +4,7 @@
 //! this crate's headline is robustness, not just throughput:
 //!
 //! * **Batched execution** — workers gather up to `max_batch` requests
-//!   and run them through [`mupod_nn::BatchArena`]'s fused forward,
+//!   and run them as one batch through [`mupod_nn::Network::run`],
 //!   which is *bit-identical* to serving each request alone
 //!   (property-tested in `mupod-nn`): batching is invisible to clients.
 //! * **Admission control** — one bounded queue ([`BoundedQueue`]) is

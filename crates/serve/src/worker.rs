@@ -1,7 +1,7 @@
 //! Worker threads: batch collection, execution, panic isolation,
 //! supervised restart with a counter-backed budget.
 //!
-//! Each worker owns a [`BatchArena`] and loops on the shared queue:
+//! Each worker owns a batch-sized [`ExecArena`] and loops on the shared queue:
 //! take one job (bounded wait), top the batch up to the *effective* max
 //! batch (the degradation ladder shrinks it to 1 under pressure),
 //! answer already-expired jobs `DeadlineExceeded` without executing
@@ -21,7 +21,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
-use mupod_nn::{BatchArena, Network};
+use mupod_nn::{ExecArena, Network, Run};
 use mupod_obs::FlightStage;
 use mupod_runtime::{RetryPolicy, StatusCode};
 use mupod_tensor::Tensor;
@@ -61,14 +61,14 @@ fn effective_max_batch(cfg: &ServeConfig, shared: &Shared) -> usize {
 pub(crate) fn worker_loop(idx: usize, cfg: &ServeConfig, shared: &Shared) {
     let mut epoch = shared.net_epoch.load(Ordering::SeqCst);
     let mut net: Arc<Network> = shared.current_net();
-    let mut arena = BatchArena::for_network_tier(&net, cfg.max_batch.max(1), cfg.kernel_tier);
+    let mut arena = ExecArena::new(&net, cfg.max_batch.max(1), cfg.kernel_tier);
     let policy = restart_policy(idx);
     loop {
         let now_epoch = shared.net_epoch.load(Ordering::SeqCst);
         if now_epoch != epoch {
             epoch = now_epoch;
             net = shared.current_net();
-            arena = BatchArena::for_network_tier(&net, cfg.max_batch.max(1), cfg.kernel_tier);
+            arena = ExecArena::new(&net, cfg.max_batch.max(1), cfg.kernel_tier);
             mupod_obs::event(
                 mupod_obs::Level::Info,
                 "serve.worker_reloaded",
@@ -104,7 +104,7 @@ fn process_batch(
     net: &Network,
     cfg: &ServeConfig,
     shared: &Shared,
-    arena: &mut BatchArena,
+    arena: &mut ExecArena,
     batch: Vec<Job>,
     policy: &RetryPolicy,
 ) {
@@ -173,10 +173,15 @@ fn process_batch(
             panic!("injected chaos fault");
         }
         if images.is_empty() {
-            Vec::new()
-        } else {
-            net.classify_batch_arena(&images, arena)
+            return Vec::new();
         }
+        if let Err(e) = net.run(Run::images(&images), arena) {
+            // lint:allow(no-panic-path) reason=only a validated run can fail and serving validates nothing; were it to fail, the batch is answered WorkerCrashed like any other worker panic
+            panic!("batch forward failed: {e}");
+        }
+        (0..images.len())
+            .map(|b| net.output(arena.activations(b)).argmax())
+            .collect()
     }));
     match outcome {
         Ok(classes) => {
@@ -247,7 +252,7 @@ fn process_batch(
             }
             // Poison isolation: the old arena may hold half-written
             // activations — rebuild from scratch before serving again.
-            *arena = BatchArena::for_network_tier(net, cfg.max_batch.max(1), cfg.kernel_tier);
+            *arena = ExecArena::new(net, cfg.max_batch.max(1), cfg.kernel_tier);
             let backoff = policy.delay_for(crashes);
             mupod_obs::counter_add("serve.worker_restarts", 1);
             mupod_obs::event(

@@ -6,9 +6,7 @@
 //! benchmarks. Grouped convolution covers both AlexNet's two-group layers
 //! and MobileNet's depthwise layers (`groups == in_channels`).
 
-#[allow(unused_imports)] // doc links only: [`gemm_tiled`] in the kernel contract docs
 use crate::gemm::gemm_tiled;
-use crate::gemm::gemm_tiled_tier;
 use crate::{KernelTier, Tensor};
 
 /// Geometry of a 2-D convolution.
@@ -133,33 +131,13 @@ pub fn im2col(input: &Tensor, params: &Conv2dParams, group: usize) -> Vec<f32> {
     let (oh, ow) = params.out_spatial(h, w);
     let k = params.kernel;
     let mut out = vec![0.0f32; gc * k * k * oh * ow];
-    im2col_into(input, params, group, &mut out);
+    im2col_strided(input, params, group, &mut out, oh * ow, 0);
     out
-}
-
-/// [`im2col`] writing into a caller-owned scratch slice (the arena fast
-/// path). `out` must hold exactly `(group_in_c · k²) · (oh · ow)`
-/// elements; it is fully overwritten, including the zero padding.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 3, `group` is out of range, or `out`
-/// has the wrong length.
-pub fn im2col_into(input: &Tensor, params: &Conv2dParams, group: usize, out: &mut [f32]) {
-    let (h, w) = (input.dims()[1], input.dims()[2]);
-    let gc = params.in_channels / params.groups;
-    let (oh, ow) = params.out_spatial(h, w);
-    let k = params.kernel;
-    assert_eq!(out.len(), gc * k * k * oh * ow, "im2col scratch mismatch");
-    // Padding positions are never written by the core, so a reused
-    // buffer must be cleared first.
-    out.fill(0.0);
-    im2col_strided(input, params, group, out, oh * ow, 0);
 }
 
 /// The shared im2col loop nest: writes one image's columns into a row-
 /// major matrix whose rows are `row_stride` wide, starting at column
-/// `col_off`. [`im2col_into`] uses `row_stride == cols, col_off == 0`;
+/// `col_off`. [`im2col`] uses `row_stride == cols, col_off == 0`;
 /// the batched convolution packs image `b` at `col_off == b · cols` so
 /// the whole batch lowers to one matrix. Only positions inside the
 /// image are written — the caller zero-fills for the padding.
@@ -225,9 +203,10 @@ fn check_conv_args(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Co
     }
 }
 
-/// 2-D convolution via im2col + tiled GEMM (the fast path).
+/// 2-D convolution via im2col + tiled GEMM on the exact tier.
 ///
 /// `input` is CHW, `weight` is `[OutC, InC/groups, K, K]`, output is CHW.
+/// A batch of one through [`conv2d_batch_into`].
 ///
 /// # Panics
 ///
@@ -235,101 +214,44 @@ fn check_conv_args(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Co
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Conv2dParams) -> Tensor {
     let (h, w) = (input.dims()[1], input.dims()[2]);
     let (oh, ow) = p.out_spatial(h, w);
-    let mut out = vec![0.0f32; p.out_channels * oh * ow];
-    let mut patches = Vec::new();
-    conv2d_into(input, weight, bias, p, &mut patches, &mut out);
-    Tensor::from_vec(&[p.out_channels, oh, ow], out)
-}
-
-/// [`conv2d`] writing into caller-owned buffers (the arena fast path).
-///
-/// `patches` is the reusable im2col scratch — grown on demand, never
-/// shrunk, so a warm caller performs zero heap allocation. `out` must
-/// hold exactly `out_channels · oh · ow` elements and is fully
-/// overwritten. Numerics are bit-identical to [`conv2d`]: both run the
-/// same im2col + [`gemm_tiled`] + bias sequence.
-///
-/// # Panics
-///
-/// Panics on any shape mismatch.
-pub fn conv2d_into(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    p: &Conv2dParams,
-    patches: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    conv2d_into_tier(KernelTier::Exact, input, weight, bias, p, patches, out);
-}
-
-/// [`conv2d_into`] under the two-tier contract: the per-group GEMM
-/// runs on the selected tier (`Exact` = bit-exact [`gemm_tiled`],
-/// `Fast` = [`crate::fast::gemm_fast`]); im2col and the bias add are
-/// tier-independent.
-///
-/// # Panics
-///
-/// Panics on any shape mismatch.
-pub fn conv2d_into_tier(
-    tier: KernelTier,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    p: &Conv2dParams,
-    patches: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    check_conv_args(input, weight, bias, p);
-    let (h, w) = (input.dims()[1], input.dims()[2]);
-    let (oh, ow) = p.out_spatial(h, w);
-    let cols = oh * ow;
-    let gc_in = p.in_channels / p.groups;
-    let gc_out = p.out_channels / p.groups;
-    let kk = p.kernel * p.kernel;
-    assert_eq!(
-        out.len(),
-        p.out_channels * cols,
-        "conv output size mismatch"
+    let mut out = Tensor::zeros(&[p.out_channels, oh, ow]);
+    conv2d_batch_into(
+        KernelTier::Exact,
+        &[input],
+        weight,
+        bias,
+        p,
+        &mut Vec::new(),
+        &mut Vec::new(),
+        &mut [out.data_mut()],
     );
-    out.fill(0.0);
-    let patch_len = gc_in * kk * cols;
-    if patches.len() < patch_len {
-        patches.resize(patch_len, 0.0);
-    }
-    let patch = &mut patches[..patch_len];
-    for g in 0..p.groups {
-        im2col_into(input, p, g, patch);
-        let w_group = &weight.data()[g * gc_out * gc_in * kk..(g + 1) * gc_out * gc_in * kk];
-        let c_group = &mut out[g * gc_out * cols..(g + 1) * gc_out * cols];
-        gemm_tiled_tier(tier, gc_out, gc_in * kk, cols, w_group, patch, c_group);
-    }
-    if let Some(b) = bias {
-        for (oc, &bv) in b.iter().enumerate() {
-            for v in &mut out[oc * cols..(oc + 1) * cols] {
-                *v += bv;
-            }
-        }
-    }
+    out
 }
 
 /// Batch-N 2-D convolution: one im2col over the whole batch, one
-/// [`gemm_tiled`] per group.
+/// [`gemm_tiled`] per group on `tier` — the convolution kernel behind
+/// every forward pass (a single image is a batch of one).
 ///
-/// Every image's im2col columns are packed side by side into a single
+/// `inputs[b]` is image `b`'s CHW input, `weight` is
+/// `[OutC, InC/groups, K, K]`, and `outs[b]` receives image `b`'s CHW
+/// output (`out_channels · oh · ow` elements, fully overwritten). Every
+/// image's im2col columns are packed side by side into a single
 /// `(group_in_c · k²) × (N · oh · ow)` matrix, so the batch amortizes
 /// the weight-panel traffic of N separate GEMMs into one large product.
-/// `outs[b]` receives image `b`'s CHW output (`out_channels · oh · ow`
-/// elements, fully overwritten).
+/// For one image the GEMM accumulates straight into `outs[0]`; larger
+/// batches stage the product in `gemm_out` and scatter each image's
+/// column block back to its output.
 ///
-/// **Bit-identical to N independent [`conv2d_into`] calls.** Per output
-/// element, [`gemm_tiled`] accumulates in ascending-`k` order with the
-/// exact-zero skip on the weight operand, and neither depends on the
-/// column count — appending other images' columns to the right of the
-/// matrix cannot change any element's addition sequence. The scatter
-/// back to per-image layout is a copy, and the bias add happens last in
-/// the same per-element position as the single-image path. The nn
-/// property suite asserts this across batch sizes and shapes.
+/// **Bit-identical to N single-image calls.** Per output element,
+/// [`gemm_tiled`] accumulates in ascending-`k` order with the exact-zero
+/// skip on the weight operand, and neither depends on the column count —
+/// appending other images' columns to the right of the matrix cannot
+/// change any element's addition sequence. The scatter back to
+/// per-image layout is a copy, and the bias add happens last in the
+/// same per-element position either way. The nn property suite asserts
+/// this across batch sizes and shapes. On [`KernelTier::Fast`] the
+/// per-group GEMM is [`crate::fast::gemm_fast`]; im2col and the bias
+/// add are tier-independent.
 ///
 /// `patches` and `gemm_out` are reusable scratch buffers — grown on
 /// demand, never shrunk, zero heap allocation once warm.
@@ -338,36 +260,8 @@ pub fn conv2d_into_tier(
 ///
 /// Panics on any shape mismatch, on an empty batch, or when the images
 /// in the batch disagree on shape.
-pub fn conv2d_batch_into(
-    inputs: &[&Tensor],
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    p: &Conv2dParams,
-    patches: &mut Vec<f32>,
-    gemm_out: &mut Vec<f32>,
-    outs: &mut [&mut [f32]],
-) {
-    conv2d_batch_into_tier(
-        KernelTier::Exact,
-        inputs,
-        weight,
-        bias,
-        p,
-        patches,
-        gemm_out,
-        outs,
-    );
-}
-
-/// [`conv2d_batch_into`] under the two-tier contract — see
-/// [`conv2d_into_tier`] for what the tier changes.
-///
-/// # Panics
-///
-/// Panics on any shape mismatch, on an empty batch, or when the images
-/// in the batch disagree on shape.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_batch_into_tier(
+pub fn conv2d_batch_into(
     tier: KernelTier,
     inputs: &[&Tensor],
     weight: &Tensor,
@@ -407,7 +301,7 @@ pub fn conv2d_batch_into_tier(
     if patches.len() < patch_len {
         patches.resize(patch_len, 0.0);
     }
-    let gemm_len = gc_out * total;
+    let gemm_len = if n > 1 { gc_out * total } else { 0 };
     if gemm_out.len() < gemm_len {
         gemm_out.resize(gemm_len, 0.0);
     }
@@ -417,10 +311,23 @@ pub fn conv2d_batch_into_tier(
         for (b, input) in inputs.iter().enumerate() {
             im2col_strided(input, p, g, patch, total, b * cols);
         }
+        let w_group = &weight.data()[g * gc_out * gc_in * kk..(g + 1) * gc_out * gc_in * kk];
+        let group_rows = g * gc_out * cols..(g + 1) * gc_out * cols;
+        if let [out] = outs {
+            gemm_tiled(
+                tier,
+                gc_out,
+                gc_in * kk,
+                cols,
+                w_group,
+                patch,
+                &mut out[group_rows],
+            );
+            continue;
+        }
         let c_buf = &mut gemm_out[..gemm_len];
         c_buf.fill(0.0);
-        let w_group = &weight.data()[g * gc_out * gc_in * kk..(g + 1) * gc_out * gc_in * kk];
-        gemm_tiled_tier(tier, gc_out, gc_in * kk, total, w_group, patch, c_buf);
+        gemm_tiled(tier, gc_out, gc_in * kk, total, w_group, patch, c_buf);
         // Scatter each image's column block back to its CHW output.
         for oc in 0..gc_out {
             let row = &c_buf[oc * total..(oc + 1) * total];
@@ -626,6 +533,7 @@ mod tests {
                     let mut outs: Vec<&mut [f32]> =
                         outs_flat.iter_mut().map(|v| v.as_mut_slice()).collect();
                     conv2d_batch_into(
+                        KernelTier::Exact,
                         &refs,
                         &weight,
                         Some(&bias),
@@ -662,6 +570,7 @@ mod tests {
         let mut o2 = vec![0.0f32; 25];
         let mut outs: Vec<&mut [f32]> = vec![&mut o1, &mut o2];
         conv2d_batch_into(
+            KernelTier::Exact,
             &[&a, &b],
             &w,
             None,

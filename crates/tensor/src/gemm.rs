@@ -2,7 +2,7 @@
 //!
 //! Convolution lowers to GEMM through im2col (see [`crate::conv`]); the
 //! fully-connected layers of every network in the model zoo call
-//! [`matvec`] directly. Two GEMM kernels are provided:
+//! [`matvec_into`] directly. Two GEMM kernels are provided:
 //!
 //! * [`gemm`] — the plain scalar `i-k-j` kernel, kept as the
 //!   cross-validation reference.
@@ -12,7 +12,10 @@
 //!   elements are touched when; for any single `c[i][j]` the additions
 //!   still happen in ascending-`k` order, accumulating directly into the
 //!   output — so the result is **bit-identical** to [`gemm`] (floats
-//!   reassociate nowhere), which the proptest suite asserts.
+//!   reassociate nowhere), which the proptest suite asserts. It takes a
+//!   [`KernelTier`]: `Fast` swaps in [`crate::fast::gemm_fast`].
+
+use crate::KernelTier;
 
 /// Column-block width of [`gemm_tiled`]: `KB·NB` f32 = 128 KiB, sized to
 /// keep one `b` panel resident in a typical L2 cache while the register
@@ -52,17 +55,31 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     }
 }
 
-/// Computes `c += a · b` like [`gemm`], but cache-blocked — the
-/// production kernel behind [`crate::conv::conv2d`].
+/// Computes `c += a · b` like [`gemm`] on the given kernel tier — the
+/// production kernel behind [`crate::conv::conv2d_batch_into`].
 ///
-/// Bit-identical to [`gemm`]: per output element the `k`-accumulation
+/// On [`KernelTier::Exact`] the product is cache-blocked and
+/// bit-identical to [`gemm`]: per output element the `k`-accumulation
 /// order and the exact-zero skip are preserved; only the traversal of
 /// `(j, k)` blocks changes. See the module docs for the argument.
+/// [`KernelTier::Fast`] runs [`crate::fast::gemm_fast`], whose register
+/// tiling subsumes the cache blocking at the shapes this workspace runs.
 ///
 /// # Panics
 ///
 /// Panics if any slice length disagrees with the given dimensions.
-pub fn gemm_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+pub fn gemm_tiled(
+    tier: KernelTier,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    if tier == KernelTier::Fast {
+        return crate::fast::gemm_fast(m, k, n, a, b, c);
+    }
     assert_eq!(a.len(), m * k, "lhs size mismatch");
     assert_eq!(b.len(), k * n, "rhs size mismatch");
     assert_eq!(c.len(), m * n, "output size mismatch");
@@ -137,17 +154,20 @@ pub fn matvec(
     bias: Option<&[f32]>,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; out_dim];
-    matvec_into(out_dim, in_dim, w, x, bias, &mut out);
+    matvec_into(KernelTier::Exact, out_dim, in_dim, w, x, bias, &mut out);
     out
 }
 
-/// Computes `out = w · x + bias` like [`matvec`], writing into
-/// caller-owned scratch instead of allocating — the arena fast path.
+/// Computes `out = w · x + bias` like [`matvec`] on the given kernel
+/// tier, writing into caller-owned scratch instead of allocating — the
+/// executor's fully-connected kernel. [`KernelTier::Fast`] runs
+/// [`crate::fast::matvec_fast_into`].
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the dimensions.
 pub fn matvec_into(
+    tier: KernelTier,
     out_dim: usize,
     in_dim: usize,
     w: &[f32],
@@ -155,6 +175,9 @@ pub fn matvec_into(
     bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
+    if tier == KernelTier::Fast {
+        return crate::fast::matvec_fast_into(out_dim, in_dim, w, x, bias, out);
+    }
     assert_eq!(w.len(), out_dim * in_dim, "weight size mismatch");
     assert_eq!(x.len(), in_dim, "input size mismatch");
     assert_eq!(out.len(), out_dim, "output size mismatch");
@@ -180,83 +203,6 @@ pub fn matvec_into(
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// [`gemm`] under the two-tier contract: `Exact` runs the bit-exact
-/// scalar reference, `Fast` runs [`crate::fast::gemm_fast`].
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the given dimensions.
-pub fn gemm_tier(
-    tier: crate::KernelTier,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    match tier {
-        crate::KernelTier::Exact => gemm(m, k, n, a, b, c),
-        crate::KernelTier::Fast => crate::fast::gemm_fast(m, k, n, a, b, c),
-    }
-}
-
-/// [`gemm_tiled`] under the two-tier contract: `Exact` runs the
-/// bit-exact cache-blocked kernel, `Fast` runs
-/// [`crate::fast::gemm_fast`] (the fast tier has no separate tiled
-/// variant — its register tiling subsumes the cache blocking at the
-/// shapes this workspace runs).
-///
-/// # Panics
-///
-/// Panics if any slice length disagrees with the given dimensions.
-pub fn gemm_tiled_tier(
-    tier: crate::KernelTier,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    match tier {
-        crate::KernelTier::Exact => gemm_tiled(m, k, n, a, b, c),
-        crate::KernelTier::Fast => crate::fast::gemm_fast(m, k, n, a, b, c),
-    }
-}
-
-/// [`matvec_into`] under the two-tier contract.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the dimensions.
-pub fn matvec_into_tier(
-    tier: crate::KernelTier,
-    out_dim: usize,
-    in_dim: usize,
-    w: &[f32],
-    x: &[f32],
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    match tier {
-        crate::KernelTier::Exact => matvec_into(out_dim, in_dim, w, x, bias, out),
-        crate::KernelTier::Fast => crate::fast::matvec_fast_into(out_dim, in_dim, w, x, bias, out),
-    }
-}
-
-/// [`dot`] under the two-tier contract.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot_tier(tier: crate::KernelTier, a: &[f32], b: &[f32]) -> f32 {
-    match tier {
-        crate::KernelTier::Exact => dot(a, b),
-        crate::KernelTier::Fast => crate::fast::dot_fast(a, b),
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +277,7 @@ mod tests {
             let mut c_ref: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
             let mut c_tiled = c_ref.clone();
             gemm(m, k, n, &a, &b, &mut c_ref);
-            gemm_tiled(m, k, n, &a, &b, &mut c_tiled);
+            gemm_tiled(KernelTier::Exact, m, k, n, &a, &b, &mut c_tiled);
             assert_eq!(
                 c_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 c_tiled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -347,7 +293,7 @@ mod tests {
         let bias = [0.25; 4];
         let expect = matvec(4, 3, &w, &x, Some(&bias));
         let mut out = [0.0f32; 4];
-        matvec_into(4, 3, &w, &x, Some(&bias), &mut out);
+        matvec_into(KernelTier::Exact, 4, 3, &w, &x, Some(&bias), &mut out);
         assert_eq!(expect, out);
     }
 }

@@ -18,9 +18,9 @@
 //!   eval set are asserted unchanged.
 //!
 //! Tier selection threads from the CLI (`--kernel-tier {exact,fast}`)
-//! through `ProfileConfig`, the evaluator, the nn arenas and the serve
-//! workers down to the `*_tier` dispatch wrappers in [`crate::gemm`]
-//! and [`crate::conv`].
+//! through `ProfileConfig`, the evaluator, the nn arena and the serve
+//! workers down to the kernels that take a tier: [`crate::gemm::gemm_tiled`],
+//! [`crate::gemm::matvec_into`] and [`crate::conv::conv2d_batch_into`].
 
 use std::fmt;
 

@@ -22,6 +22,7 @@ use mupod_tensor::fast::{
     matvec_fast_into,
 };
 use mupod_tensor::gemm::{dot, gemm, matvec_into};
+use mupod_tensor::KernelTier;
 use proptest::prelude::*;
 
 /// The contract bound on `|fast − exact|` for a `k`-term inner product
@@ -99,7 +100,7 @@ proptest! {
         let bias = with_bias.then_some(bias.as_slice());
         let mut exact = vec![0.0f32; out_dim];
         let mut fast = vec![0.0f32; out_dim];
-        matvec_into(out_dim, in_dim, &w, &x, bias, &mut exact);
+        matvec_into(KernelTier::Exact, out_dim, in_dim, &w, &x, bias, &mut exact);
         matvec_fast_into(out_dim, in_dim, &w, &x, bias, &mut fast);
         for o in 0..out_dim {
             let row = &w[o * in_dim..(o + 1) * in_dim];

@@ -3,10 +3,10 @@
 //! defining inequalities.
 
 use mupod_stats::SeededRng;
-use mupod_tensor::conv::{conv2d, conv2d_direct, conv2d_into, Conv2dParams};
+use mupod_tensor::conv::{conv2d, conv2d_batch_into, conv2d_direct, Conv2dParams};
 use mupod_tensor::gemm::{gemm, gemm_tiled};
 use mupod_tensor::pool::{avg_pool2d, max_pool2d, Pool2dParams};
-use mupod_tensor::Tensor;
+use mupod_tensor::{KernelTier, Tensor};
 use proptest::prelude::*;
 
 fn random_tensor(seed: u64, dims: &[usize]) -> Tensor {
@@ -76,7 +76,7 @@ proptest! {
         let mut c_ref = init.clone();
         let mut c_tiled = init;
         gemm(m, k, n, &a, &b, &mut c_ref);
-        gemm_tiled(m, k, n, &a, &b, &mut c_tiled);
+        gemm_tiled(KernelTier::Exact, m, k, n, &a, &b, &mut c_tiled);
         for (x, y) in c_ref.iter().zip(&c_tiled) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "tiled {} != scalar {}", y, x);
         }
@@ -108,16 +108,18 @@ proptest! {
 
         let alloc = conv2d(&input, &weight, Some(&bias), &p);
         let (oh, ow) = p.out_spatial(hw, hw);
-        // Deliberately dirty scratch: `conv2d_into` must fully overwrite.
+        // Deliberately dirty scratch: `conv2d_batch_into` must fully overwrite.
         let mut patches = vec![f32::NAN; 7];
+        let mut gemm_out = vec![f32::NAN; 3];
         let mut out = vec![f32::NAN; out_c * oh * ow];
-        conv2d_into(&input, &weight, Some(&bias), &p, &mut patches, &mut out);
+        let exact = KernelTier::Exact;
+        conv2d_batch_into(exact, &[&input], &weight, Some(&bias), &p, &mut patches, &mut gemm_out, &mut [&mut out]);
         for (a, b) in alloc.data().iter().zip(&out) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "into {} != alloc {}", b, a);
         }
         // Second pass on the now-oversized, stale buffers: reuse must not
         // leak state between calls.
-        conv2d_into(&input, &weight, Some(&bias), &p, &mut patches, &mut out);
+        conv2d_batch_into(exact, &[&input], &weight, Some(&bias), &p, &mut patches, &mut gemm_out, &mut [&mut out]);
         for (a, b) in alloc.data().iter().zip(&out) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "reused {} != alloc {}", b, a);
         }

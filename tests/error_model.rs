@@ -4,7 +4,7 @@
 use mupod::data::{Dataset, DatasetSpec};
 use mupod::models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod::nn::tap::UniformNoiseTap;
-use mupod::nn::{Network, NodeId};
+use mupod::nn::{ExecArena, Network, NodeId, Run};
 use mupod::quant::{delta_for_noise_std, noise_std_for_delta, FixedPointFormat};
 use mupod::stats::{RunningStats, SeededRng};
 use std::collections::HashMap;
@@ -33,17 +33,13 @@ fn injected_output_sigma(
     const REPEATS: u64 = 6;
     let root = SeededRng::new(seed);
     let mut stats = RunningStats::new();
+    let mut arena = ExecArena::for_network(net);
     for (i, img) in data.images().iter().enumerate() {
         let base = net.forward(img);
         for rep in 0..REPEATS {
             let mut tap = UniformNoiseTap::new(deltas.clone(), root.fork(i as u64 * REPEATS + rep));
-            let noisy = net.forward_tapped(img, &mut tap);
-            for (a, b) in net
-                .output(&noisy)
-                .data()
-                .iter()
-                .zip(net.output(&base).data())
-            {
+            let noisy = net.run(Run::image(img).tap(&mut tap), &mut arena).unwrap();
+            for (a, b) in noisy.data().iter().zip(net.output(&base).data()) {
                 stats.push((a - b) as f64);
             }
         }
