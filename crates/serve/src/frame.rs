@@ -48,6 +48,8 @@
 //!   Queued and in-flight requests keep executing on whichever network
 //!   they dequeued with, so a reload never drops a connection.
 
+use std::time::Duration;
+
 use mupod_runtime::StatusCode;
 
 /// Request-frame magic.
@@ -151,6 +153,18 @@ pub struct RequestHeader {
     pub payload_len: usize,
     /// Whether an 8-byte trace ID follows the header.
     pub has_trace_id: bool,
+}
+
+impl RequestHeader {
+    /// The request's time budget: its wire deadline, or `default` when
+    /// it carries none.
+    pub fn budget(&self, default: Duration) -> Duration {
+        if self.deadline_ms == 0 {
+            default
+        } else {
+            Duration::from_millis(u64::from(self.deadline_ms))
+        }
+    }
 }
 
 /// A parsed response header.

@@ -14,7 +14,6 @@
 use std::time::Duration;
 
 use crate::client::Connection;
-use crate::router::breaker::Transition;
 use crate::router::RouterShared;
 use crate::server::POLL;
 
@@ -49,30 +48,11 @@ fn check_shard(shared: &RouterShared, idx: usize) {
     match outcome {
         Ok(state) => {
             shard.set_state(state.wire());
-            if shard.breaker.on_success() == Transition::Closed {
-                shared.stats.note_breaker_closed();
-                mupod_obs::event(
-                    mupod_obs::Level::Info,
-                    "route.breaker_closed",
-                    &[("shard", &shard.addr.to_string())],
-                );
-            }
+            shared.shard_succeeded(idx);
         }
         Err(e) => {
             shard.set_unreachable();
-            // Dead shard: its pooled connections are dead too.
-            shard.pool.clear();
-            if shard.breaker.on_failure() == Transition::Opened {
-                shared.stats.note_breaker_opened();
-                mupod_obs::event(
-                    mupod_obs::Level::Warn,
-                    "route.breaker_opened",
-                    &[
-                        ("shard", &shard.addr.to_string()),
-                        ("error", &e.to_string()),
-                    ],
-                );
-            }
+            shared.shard_failed(idx, &e);
         }
     }
 }

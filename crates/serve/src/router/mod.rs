@@ -39,7 +39,6 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -48,7 +47,9 @@ use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
 use crate::frame::{self, FrameError, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
-use crate::server::{percentiles_us, Bound, POLL};
+use crate::server::{
+    percentiles_us, read_remaining, Bound, FRAME_READ_TIMEOUT, POLL, WRITE_TIMEOUT,
+};
 
 pub use breaker::BreakerState;
 pub use reload::{reload_shard, ReloadError};
@@ -60,11 +61,6 @@ const ATTEMPT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Grace past a request's deadline before the router answers
 /// `DeadlineExceeded` itself (covers shard-side execution overrun).
 const RELAY_GRACE: Duration = Duration::from_secs(2);
-/// Once a frame's first byte arrives, the rest must follow within this
-/// window (mirrors the shard's frame read timeout).
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-/// Client-side socket write timeout.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Flight-recorder ring size.
 const FLIGHT_CAPACITY: usize = 4096;
 /// Rolling-window shape for routed-latency quantiles.
@@ -204,16 +200,6 @@ pub(crate) struct RouteStats {
     breaker_closes: AtomicU64,
 }
 
-impl RouteStats {
-    pub(crate) fn note_breaker_opened(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_breaker_closed(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// One backend shard as the router sees it.
 pub(crate) struct Shard {
     pub(crate) addr: SocketAddr,
@@ -224,7 +210,7 @@ pub(crate) struct Shard {
     state: AtomicU8,
     /// Forwarding attempts sent here.
     forwarded: AtomicU64,
-    /// Attempt failures observed here (passive accounting).
+    /// Forwarding attempts that failed here (health pings excluded).
     failures: AtomicU64,
 }
 
@@ -271,10 +257,10 @@ pub(crate) struct RouterTelemetry {
     pub(crate) flight: FlightRecorder,
 }
 
-/// State shared by the front listener, handlers, attempts, the health
-/// loop and the admin plane. Lives in an [`Arc`] because attempt
-/// threads are detached (a slow losing attempt must not block the
-/// winner's reply).
+/// State shared by the front listener, handlers, the health loop and
+/// the admin plane. Lives in an [`Arc`] because a hedge race's threads
+/// are detached (a slow losing attempt must not block the winner's
+/// reply).
 pub(crate) struct RouterShared {
     pub(crate) cfg: RouteConfig,
     pub(crate) shards: Vec<Shard>,
@@ -377,6 +363,45 @@ impl RouterShared {
             ShardState::Degraded
         } else {
             ShardState::Ok
+        }
+    }
+
+    /// Books a failed forwarding attempt on shard `idx`.
+    fn attempt_failed(&self, idx: usize, err: &AttemptError) {
+        self.shards[idx].failures.fetch_add(1, Ordering::Relaxed);
+        self.shard_failed(idx, err);
+    }
+
+    /// A failed contact with shard `idx` (forwarding attempt or health
+    /// ping): its pooled connections are suspect, and its breaker takes
+    /// a notch.
+    pub(crate) fn shard_failed(&self, idx: usize, err: &dyn std::fmt::Display) {
+        let shard = &self.shards[idx];
+        shard.pool.clear();
+        if shard.breaker.on_failure() == breaker::Transition::Opened {
+            self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            mupod_obs::event(
+                mupod_obs::Level::Warn,
+                "route.breaker_opened",
+                &[
+                    ("shard", &shard.addr.to_string()),
+                    ("error", &err.to_string()),
+                ],
+            );
+        }
+    }
+
+    /// A successful contact with shard `idx`; closes a half-open
+    /// breaker.
+    pub(crate) fn shard_succeeded(&self, idx: usize) {
+        let shard = &self.shards[idx];
+        if shard.breaker.on_success() == breaker::Transition::Closed {
+            self.stats.breaker_closes.fetch_add(1, Ordering::Relaxed);
+            mupod_obs::event(
+                mupod_obs::Level::Info,
+                "route.breaker_closed",
+                &[("shard", &shard.addr.to_string())],
+            );
         }
     }
 
@@ -569,28 +594,6 @@ fn handle_client(mut stream: TcpStream, shared: &Arc<RouterShared>) {
     }
 }
 
-/// Reads exactly `buf`, giving up at `deadline` (front copy of the
-/// shard's bounded read).
-fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
 /// Writes router-originated (not relayed) response bytes to the client.
 fn answer(
     stream: &mut TcpStream,
@@ -688,7 +691,7 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
         .flight
         .record(trace_id, FlightStage::Admit, -1, 0);
     shared.telemetry.in_flight.add(1);
-    let keep = relay(stream, shared, h, trace_id, Arc::new(raw));
+    let keep = relay(stream, shared, h, trace_id, &raw);
     shared.telemetry.in_flight.sub(1);
     keep
 }
@@ -711,16 +714,30 @@ struct Relayed {
     raw: Vec<u8>,
 }
 
-/// Why a forwarding attempt failed (all are breaker failures).
+/// Why a forwarding attempt failed.
 #[derive(Debug)]
 enum AttemptError {
     /// Could not connect to the shard.
     Connect(std::io::Error),
     /// Transport failure after connecting (stale pooled connection,
-    /// shard died mid-request, read timeout).
+    /// shard died mid-request).
     Io(std::io::Error),
     /// The shard's response frame was malformed.
     Frame(FrameError),
+    /// No answer before the final deadline.
+    Deadline,
+}
+
+impl AttemptError {
+    /// A post-connect transport error. A socket timeout counts as the
+    /// deadline running out: reads wait for the final deadline itself,
+    /// and writes give up no later than it.
+    fn io(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => AttemptError::Deadline,
+            _ => AttemptError::Io(e),
+        }
+    }
 }
 
 impl std::fmt::Display for AttemptError {
@@ -729,48 +746,47 @@ impl std::fmt::Display for AttemptError {
             AttemptError::Connect(e) => write!(f, "connect: {e}"),
             AttemptError::Io(e) => write!(f, "transport: {e}"),
             AttemptError::Frame(e) => write!(f, "bad shard frame: {e}"),
+            AttemptError::Deadline => write!(f, "no answer by the deadline"),
         }
     }
 }
 
-/// Statuses worth retrying on another shard (idempotent requests
-/// only): the shard told us the *request never executed to completion
-/// usefully* and a sibling can do better.
-fn retryable_status(status: StatusCode) -> bool {
-    matches!(status, StatusCode::WorkerCrashed | StatusCode::Draining)
+type Attempt = Result<Relayed, AttemptError>;
+
+/// Outcomes worth retrying on another shard (idempotent requests
+/// only): a transport failure, or a status saying the request never
+/// executed to completion usefully and a sibling can do better.
+fn retryable(outcome: &Attempt) -> bool {
+    match outcome {
+        Ok(r) => matches!(r.status, StatusCode::WorkerCrashed | StatusCode::Draining),
+        Err(_) => true,
+    }
 }
 
-/// The relay state machine: primary attempt, bounded retries on
-/// failure/retryable status, one optional hedge once the p99 timer
-/// fires — all inside the request's wire deadline (+ grace).
+/// The relay loop, on the client's connection thread: send to a shard,
+/// wait for its answer, retry retryable outcomes on another shard
+/// (bounded by the retry budget and the wire deadline), and hedge once
+/// to an unused shard if the p99 timer fires first — all answered by
+/// the request's wire deadline (+ grace).
 fn relay(
     stream: &mut TcpStream,
     shared: &Arc<RouterShared>,
     h: frame::RequestHeader,
     trace_id: u64,
-    raw_req: Arc<Vec<u8>>,
+    raw_req: &[u8],
 ) -> bool {
+    let st = &shared.stats;
     let accepted = Instant::now();
-    let deadline = accepted
-        + if h.deadline_ms == 0 {
-            shared.cfg.default_deadline
-        } else {
-            Duration::from_millis(u64::from(h.deadline_ms))
-        };
+    let deadline = accepted + h.budget(shared.cfg.default_deadline);
     let final_deadline = deadline + RELAY_GRACE;
     let idempotent = h.kind == ReqKind::Classify;
-    let (tx, rx) = mpsc::channel::<(usize, Result<Relayed, AttemptError>)>();
     let mut used: Vec<usize> = Vec::new();
-    let mut outstanding = 0u32;
     let mut retries_used = 0u32;
     let mut hedged = false;
     let mut hedge_idx: Option<usize> = None;
 
-    let Some(primary) = shared.pick_shard(&used) else {
-        shared
-            .stats
-            .no_healthy_shard
-            .fetch_add(1, Ordering::Relaxed);
+    let Some(mut idx) = shared.pick_shard(&used) else {
+        st.no_healthy_shard.fetch_add(1, Ordering::Relaxed);
         return answer(
             stream,
             shared,
@@ -779,191 +795,129 @@ fn relay(
             b"no healthy shard to route to",
         );
     };
-    launch_attempt(shared, primary, &raw_req, final_deadline, &tx, trace_id);
-    used.push(primary);
-    outstanding += 1;
-
     loop {
-        let now = Instant::now();
-        if now >= final_deadline {
-            shared
-                .stats
-                .deadline_exceeded
-                .fetch_add(1, Ordering::Relaxed);
-            return answer(
-                stream,
-                shared,
-                StatusCode::DeadlineExceeded,
-                trace_id,
-                b"no shard answered in time",
-            );
-        }
-        let hedge_at = if idempotent && !hedged && shared.hedge_budget_ok() {
-            Some(accepted + shared.hedge_delay())
-        } else {
-            None
+        used.push(idx);
+        let hedge_at = (idempotent && !hedged && shared.hedge_budget_ok())
+            .then(|| accepted + shared.hedge_delay())
+            .filter(|&at| at < final_deadline);
+        let (answered_by, outcome) = match send(shared, idx, raw_req, final_deadline, trace_id) {
+            Err(e) => (idx, Err(e)),
+            Ok(conn) => match hedge_at {
+                Some(at) if !first_byte_by(&conn, at) => {
+                    // The attempt outlived the p99 timer: hedge once.
+                    hedged = true;
+                    match shared.pick_unused_shard(&used) {
+                        Some(next) => {
+                            hedge_idx = Some(next);
+                            used.push(next);
+                            st.hedges.fetch_add(1, Ordering::Relaxed);
+                            shared.telemetry.flight.record(
+                                trace_id,
+                                FlightStage::Hedge,
+                                next as i64,
+                                0,
+                            );
+                            race(shared, idx, conn, next, raw_req, final_deadline, trace_id)
+                        }
+                        // Nowhere to hedge to; wait the attempt out.
+                        None => (idx, receive(shared, idx, conn, final_deadline)),
+                    }
+                }
+                _ => (idx, receive(shared, idx, conn, final_deadline)),
+            },
         };
-        let wake = hedge_at.map_or(final_deadline, |at| at.min(final_deadline));
-        let wait = wake
-            .saturating_duration_since(now)
-            .max(Duration::from_millis(1));
-        match rx.recv_timeout(wait) {
-            Ok((idx, Ok(relayed))) => {
-                outstanding = outstanding.saturating_sub(1);
-                let shard = &shared.shards[idx];
-                shard.breaker.on_success();
-                if relayed.status == StatusCode::Draining {
-                    shard.set_state(ShardState::Draining.wire());
-                }
-                let can_retry = idempotent
-                    && retryable_status(relayed.status)
-                    && retries_used < shared.cfg.retry_budget
-                    && Instant::now() < deadline;
-                if can_retry {
-                    if relayed.status == StatusCode::WorkerCrashed {
-                        shard.failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(next) = shared.pick_shard(&used) {
-                        retries_used += 1;
-                        shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-                        shared.telemetry.flight.record(
-                            trace_id,
-                            FlightStage::Forward,
-                            next as i64,
-                            StatusCode::Rerouted.wire(),
-                        );
-                        launch_attempt(shared, next, &raw_req, final_deadline, &tx, trace_id);
-                        used.push(next);
-                        outstanding += 1;
-                        continue;
-                    }
-                }
+        if idempotent
+            && retryable(&outcome)
+            && retries_used < shared.cfg.retry_budget
+            && Instant::now() < deadline
+        {
+            if let Some(next) = shared.pick_shard(&used) {
+                retries_used += 1;
+                st.retries.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.flight.record(
+                    trace_id,
+                    FlightStage::Forward,
+                    next as i64,
+                    StatusCode::Rerouted.wire(),
+                );
+                idx = next;
+                continue;
+            }
+        }
+        return match outcome {
+            Ok(relayed) => {
                 if relayed.status == StatusCode::Ok {
-                    shared.stats.relayed_ok.fetch_add(1, Ordering::Relaxed);
+                    st.relayed_ok.fetch_add(1, Ordering::Relaxed);
                     shared.record_latency(accepted);
                 } else {
-                    shared.stats.relayed_errors.fetch_add(1, Ordering::Relaxed);
+                    st.relayed_errors.fetch_add(1, Ordering::Relaxed);
                 }
-                if hedge_idx == Some(idx) {
-                    shared.stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                if hedge_idx == Some(answered_by) {
+                    st.hedge_wins.fetch_add(1, Ordering::Relaxed);
                 }
                 shared.telemetry.flight.record(
                     trace_id,
                     FlightStage::Reply,
-                    idx as i64,
+                    answered_by as i64,
                     relayed.status.wire(),
                 );
-                return write_raw(stream, shared, &relayed.raw);
+                write_raw(stream, shared, &relayed.raw)
             }
-            Ok((idx, Err(e))) => {
-                outstanding = outstanding.saturating_sub(1);
-                let shard = &shared.shards[idx];
-                shard.failures.fetch_add(1, Ordering::Relaxed);
-                shard.pool.clear();
-                if shard.breaker.on_failure() == breaker::Transition::Opened {
-                    shared.stats.note_breaker_opened();
-                    mupod_obs::event(
-                        mupod_obs::Level::Warn,
-                        "route.breaker_opened",
-                        &[
-                            ("shard", &shard.addr.to_string()),
-                            ("error", &e.to_string()),
-                        ],
-                    );
-                }
-                let can_retry = idempotent
-                    && retries_used < shared.cfg.retry_budget
-                    && Instant::now() < deadline;
-                if can_retry {
-                    if let Some(next) = shared.pick_shard(&used) {
-                        retries_used += 1;
-                        shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-                        shared.telemetry.flight.record(
-                            trace_id,
-                            FlightStage::Forward,
-                            next as i64,
-                            StatusCode::Rerouted.wire(),
-                        );
-                        launch_attempt(shared, next, &raw_req, final_deadline, &tx, trace_id);
-                        used.push(next);
-                        outstanding += 1;
-                        continue;
-                    }
-                }
-                if outstanding > 0 {
-                    // A twin attempt (hedge) is still in flight; let it
-                    // decide the request.
-                    continue;
-                }
-                shared
-                    .stats
-                    .no_healthy_shard
-                    .fetch_add(1, Ordering::Relaxed);
+            Err(e) if matches!(e, AttemptError::Deadline) || Instant::now() >= final_deadline => {
+                st.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                answer(
+                    stream,
+                    shared,
+                    StatusCode::DeadlineExceeded,
+                    trace_id,
+                    b"no shard answered in time",
+                )
+            }
+            Err(e) => {
+                st.no_healthy_shard.fetch_add(1, Ordering::Relaxed);
                 let msg = format!("all shard attempts failed: {e}");
-                return answer(
+                answer(
                     stream,
                     shared,
                     StatusCode::NoHealthyShard,
                     trace_id,
                     msg.as_bytes(),
-                );
+                )
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some(at) = hedge_at {
-                    if Instant::now() >= at {
-                        // The primary outlived the p99 timer: hedge once.
-                        match shared.pick_unused_shard(&used) {
-                            Some(next) => {
-                                hedged = true;
-                                hedge_idx = Some(next);
-                                shared.stats.hedges.fetch_add(1, Ordering::Relaxed);
-                                shared.telemetry.flight.record(
-                                    trace_id,
-                                    FlightStage::Hedge,
-                                    next as i64,
-                                    0,
-                                );
-                                launch_attempt(
-                                    shared,
-                                    next,
-                                    &raw_req,
-                                    final_deadline,
-                                    &tx,
-                                    trace_id,
-                                );
-                                used.push(next);
-                                outstanding += 1;
-                            }
-                            None => {
-                                // Nowhere to hedge to; stop arming the
-                                // timer and just wait the primary out.
-                                hedged = true;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // All attempt threads gone without a result; the top of
-                // the loop converts this into a deadline answer.
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
+        };
     }
 }
 
-/// Spawns one detached forwarding attempt. Detached on purpose: a
-/// losing attempt may legitimately outlive the request (its shard is
-/// slow, the hedge won) and must not block the winner's reply; its
-/// socket timeouts bound its lifetime.
-fn launch_attempt(
-    shared: &Arc<RouterShared>,
+/// Time left before `at`, floored at 1 ms (a zero socket timeout is an
+/// error, not "expired").
+fn left(at: Instant) -> Duration {
+    at.saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1))
+}
+
+/// Waits until `at` for the first response byte on `conn`; `false` only
+/// when the timer fired first (every other outcome is `receive`'s to
+/// report).
+fn first_byte_by(conn: &TcpStream, at: Instant) -> bool {
+    if conn.set_read_timeout(Some(left(at))).is_err() {
+        return true;
+    }
+    !matches!(
+        conn.peek(&mut [0u8; 1]),
+        Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+    )
+}
+
+/// Sends the raw request bytes to shard `idx` over a pooled (or fresh)
+/// connection and returns the connection awaiting the answer. A failure
+/// feeds the shard's breaker.
+fn send(
+    shared: &RouterShared,
     idx: usize,
-    raw_req: &Arc<Vec<u8>>,
+    raw_req: &[u8],
     final_deadline: Instant,
-    tx: &mpsc::Sender<(usize, Result<Relayed, AttemptError>)>,
     trace_id: u64,
-) {
+) -> Result<TcpStream, AttemptError> {
     shared
         .stats
         .forwarded_attempts
@@ -972,59 +926,110 @@ fn launch_attempt(
         .telemetry
         .flight
         .record(trace_id, FlightStage::Forward, idx as i64, 0);
-    let shared = Arc::clone(shared);
-    let raw_req = Arc::clone(raw_req);
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        let result = attempt(&shared, idx, &raw_req, final_deadline);
-        let _ = tx.send((idx, result));
-    });
-}
-
-/// One forwarding attempt over a pooled (or fresh) connection: write
-/// the raw request bytes, read one raw response, pool the connection
-/// back on success.
-fn attempt(
-    shared: &RouterShared,
-    idx: usize,
-    raw_req: &[u8],
-    final_deadline: Instant,
-) -> Result<Relayed, AttemptError> {
     let shard = &shared.shards[idx];
     shard.forwarded.fetch_add(1, Ordering::Relaxed);
-    let mut stream = match shard.pool.take() {
-        Some(s) => s,
-        None => TcpStream::connect_timeout(&shard.addr, CONNECT_TIMEOUT)
-            .map_err(AttemptError::Connect)?,
+    let sent = (|| {
+        let mut conn = match shard.pool.take() {
+            Some(conn) => conn,
+            None => {
+                let timeout = CONNECT_TIMEOUT.min(left(final_deadline));
+                let conn = TcpStream::connect_timeout(&shard.addr, timeout)
+                    .map_err(AttemptError::Connect)?;
+                let _ = conn.set_nodelay(true);
+                conn
+            }
+        };
+        conn.set_write_timeout(Some(ATTEMPT_WRITE_TIMEOUT.min(left(final_deadline))))
+            .and_then(|()| conn.write_all(raw_req))
+            .and_then(|()| conn.flush())
+            .map_err(AttemptError::io)?;
+        Ok(conn)
+    })();
+    if let Err(e) = &sent {
+        shared.attempt_failed(idx, e);
+    }
+    sent
+}
+
+/// Reads shard `idx`'s raw response on `conn` (by `final_deadline`) and
+/// pools the connection back on success. Either way the outcome feeds
+/// the shard's breaker.
+fn receive(
+    shared: &RouterShared,
+    idx: usize,
+    mut conn: TcpStream,
+    final_deadline: Instant,
+) -> Attempt {
+    let shard = &shared.shards[idx];
+    let mut read = || -> Attempt {
+        conn.set_read_timeout(Some(left(final_deadline)))
+            .map_err(AttemptError::io)?;
+        let mut header = [0u8; HEADER_LEN];
+        conn.read_exact(&mut header).map_err(AttemptError::io)?;
+        let rh = frame::parse_response_header(&header).map_err(AttemptError::Frame)?;
+        let ext_len = if rh.has_trace_id { TRACE_ID_LEN } else { 0 };
+        let mut raw = vec![0u8; HEADER_LEN + ext_len + rh.payload_len];
+        raw[..HEADER_LEN].copy_from_slice(&header);
+        conn.read_exact(&mut raw[HEADER_LEN..])
+            .map_err(AttemptError::io)?;
+        Ok(Relayed {
+            status: rh.status,
+            raw,
+        })
     };
-    let _ = stream.set_nodelay(true);
-    let wait = final_deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(10));
-    stream
-        .set_read_timeout(Some(wait))
-        .map_err(AttemptError::Io)?;
-    stream
-        .set_write_timeout(Some(ATTEMPT_WRITE_TIMEOUT))
-        .map_err(AttemptError::Io)?;
-    stream
-        .write_all(raw_req)
-        .and_then(|()| stream.flush())
-        .map_err(AttemptError::Io)?;
-    let mut header = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header).map_err(AttemptError::Io)?;
-    let rh = frame::parse_response_header(&header).map_err(AttemptError::Frame)?;
-    let ext_len = if rh.has_trace_id { TRACE_ID_LEN } else { 0 };
-    let mut raw = vec![0u8; HEADER_LEN + ext_len + rh.payload_len];
-    raw[..HEADER_LEN].copy_from_slice(&header);
-    stream
-        .read_exact(&mut raw[HEADER_LEN..])
-        .map_err(AttemptError::Io)?;
-    shard.pool.put(stream);
-    Ok(Relayed {
-        status: rh.status,
-        raw,
-    })
+    let outcome = read();
+    match &outcome {
+        Ok(relayed) => {
+            shard.pool.put(conn);
+            shared.shard_succeeded(idx);
+            match relayed.status {
+                StatusCode::Draining => shard.set_state(ShardState::Draining.wire()),
+                StatusCode::WorkerCrashed => {
+                    shard.failures.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
+            }
+        }
+        Err(e) => shared.attempt_failed(idx, e),
+    }
+    outcome
+}
+
+/// Races the pending answer on `conn` (shard `idx`) against a hedge to
+/// shard `next`, each on its own detached thread: a slow loser must not
+/// hold up the winner's reply, and its socket timeouts bound its life.
+/// The first `Ok` wins, otherwise the last error counts; the wait ends
+/// no later than `final_deadline`.
+fn race(
+    shared: &Arc<RouterShared>,
+    idx: usize,
+    conn: TcpStream,
+    next: usize,
+    raw_req: &[u8],
+    final_deadline: Instant,
+    trace_id: u64,
+) -> (usize, Attempt) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (sh, tx_primary) = (Arc::clone(shared), tx.clone());
+    std::thread::spawn(move || {
+        let _ = tx_primary.send((idx, receive(&sh, idx, conn, final_deadline)));
+    });
+    let (sh, raw_req) = (Arc::clone(shared), raw_req.to_vec());
+    std::thread::spawn(move || {
+        let outcome = send(&sh, next, &raw_req, final_deadline, trace_id)
+            .and_then(|conn| receive(&sh, next, conn, final_deadline));
+        let _ = tx.send((next, outcome));
+    });
+    let mut last = (idx, Err(AttemptError::Deadline));
+    for _ in 0..2 {
+        let wait = final_deadline.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(wait) {
+            Ok((i, Ok(relayed))) => return (i, Ok(relayed)),
+            Ok(failed) => last = failed,
+            Err(_) => return (idx, Err(AttemptError::Deadline)),
+        }
+    }
+    last
 }
 
 /// Renders the router's `/metrics` payload (`mupod_route_*` families).
@@ -1277,6 +1282,60 @@ mod tests {
         Connection::connect(addr, Duration::from_secs(10)).expect("loopback connect")
     }
 
+    /// What a fake shard does with a classify frame.
+    #[derive(Clone, Copy)]
+    enum FakeClassify {
+        /// Answer `Draining`.
+        Drain,
+        /// Never answer; hold the connection until the router drops it.
+        Hang,
+        /// Close the connection without answering.
+        Close,
+    }
+
+    /// Starts a fake shard that answers health pings `Ok` and treats
+    /// classify frames per `mode`. Its threads are detached; they end
+    /// with the test process.
+    fn start_fake_shard(mode: FakeClassify) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("fake shard binds");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut s) = conn else { continue };
+                std::thread::spawn(move || loop {
+                    let mut header = [0u8; HEADER_LEN];
+                    if s.read_exact(&mut header).is_err() {
+                        return;
+                    }
+                    let h =
+                        frame::parse_request_header(&header).expect("router sends valid frames");
+                    let ext_len = if h.has_trace_id { TRACE_ID_LEN } else { 0 };
+                    let mut rest = vec![0u8; ext_len + h.payload_len];
+                    if s.read_exact(&mut rest).is_err() {
+                        return;
+                    }
+                    let reply = match (h.kind, mode) {
+                        (ReqKind::HealthPing, _) => {
+                            frame::encode_response(StatusCode::Ok, &[ShardState::Ok.wire()])
+                        }
+                        (_, FakeClassify::Drain) => {
+                            frame::encode_response(StatusCode::Draining, b"draining")
+                        }
+                        (_, FakeClassify::Hang) => {
+                            let _ = std::io::copy(&mut s, &mut std::io::sink());
+                            return;
+                        }
+                        (_, FakeClassify::Close) => return,
+                    };
+                    if s.write_all(&reply).is_err() {
+                        return;
+                    }
+                });
+            }
+        });
+        addr
+    }
+
     #[test]
     fn empty_shard_list_is_rejected() {
         let token = CancelToken::new();
@@ -1449,6 +1508,76 @@ mod tests {
         shard_token.cancel(CancelReason::Interrupt);
         hs.join().expect("slow shard").expect("drain");
         hf.join().expect("fast shard").expect("drain");
+    }
+
+    #[test]
+    fn draining_status_is_retried_on_a_live_one() {
+        // Slot 0 answers every classify `Draining`; the retry lands on
+        // the live shard and the client only sees its `Ok`.
+        let draining = start_fake_shard(FakeClassify::Drain);
+        let shard_token = CancelToken::new();
+        let (live, hl) = start_shard(ServeConfig::default(), shard_token.clone());
+        let route_token = CancelToken::new();
+        let (bound, hr) = start_router(fast_route_cfg(), vec![draining, live], route_token.clone());
+        let mut conn = connect(bound.addr);
+        let reply = conn.classify(&image(0), 0, Priority::High).expect("reply");
+        assert_eq!(reply.status, StatusCode::Ok);
+        route_token.cancel(CancelReason::Interrupt);
+        let report = hr.join().expect("router thread").expect("router drains");
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.relayed_ok, 1);
+        shard_token.cancel(CancelReason::Interrupt);
+        hl.join().expect("live shard").expect("drain");
+    }
+
+    #[test]
+    fn silent_shard_is_answered_deadline_exceeded() {
+        let silent = start_fake_shard(FakeClassify::Hang);
+        let route_token = CancelToken::new();
+        let (bound, hr) = start_router(fast_route_cfg(), vec![silent], route_token.clone());
+        let mut conn = connect(bound.addr);
+        let started = Instant::now();
+        let reply = conn.classify(&image(0), 50, Priority::High).expect("reply");
+        let took = started.elapsed();
+        assert_eq!(reply.status, StatusCode::DeadlineExceeded);
+        let bound_by = Duration::from_millis(50) + RELAY_GRACE + Duration::from_secs(1);
+        assert!(took < bound_by, "answered after {took:?}");
+        route_token.cancel(CancelReason::Interrupt);
+        let report = hr.join().expect("router thread").expect("router drains");
+        assert_eq!(report.deadline_exceeded, 1);
+        assert_eq!(report.no_healthy_shard, 0);
+    }
+
+    #[test]
+    fn failed_hedge_defers_to_the_pending_primary() {
+        // Slot 0 is slow but healthy; the hedge goes to a shard that
+        // drops classify connections. The router must wait for the
+        // primary rather than spend a retry.
+        let shard_token = CancelToken::new();
+        let slow_cfg = ServeConfig {
+            slow_batch: Some(Duration::from_millis(300)),
+            default_deadline: Duration::from_secs(10),
+            ..ServeConfig::default()
+        };
+        let (slow, hs) = start_shard(slow_cfg, shard_token.clone());
+        let closing = start_fake_shard(FakeClassify::Close);
+        let route_token = CancelToken::new();
+        let cfg = RouteConfig {
+            hedge_after: Duration::from_millis(30),
+            ..fast_route_cfg()
+        };
+        let (bound, hr) = start_router(cfg, vec![slow, closing], route_token.clone());
+        let mut conn = connect(bound.addr);
+        let reply = conn.classify(&image(0), 0, Priority::High).expect("reply");
+        assert_eq!(reply.status, StatusCode::Ok);
+        route_token.cancel(CancelReason::Interrupt);
+        let report = hr.join().expect("router thread").expect("router drains");
+        assert_eq!(report.relayed_ok, 1);
+        assert_eq!(report.hedges, 1);
+        assert_eq!(report.hedge_wins, 0);
+        assert_eq!(report.retries, 0);
+        shard_token.cancel(CancelReason::Interrupt);
+        hs.join().expect("slow shard").expect("drain");
     }
 
     #[test]

@@ -40,9 +40,9 @@ use crate::worker;
 pub(crate) const POLL: Duration = Duration::from_millis(50);
 /// Once a frame's first byte arrives, the rest must follow within this
 /// window or the connection is dropped with `BadRequest`.
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// Socket write timeout: a peer that stops reading cannot pin a handler.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Grace on top of a request's deadline for the worker's answer to
 /// arrive before the handler gives up (covers batch execution time).
 const RESPONSE_GRACE: Duration = Duration::from_secs(10);
@@ -546,7 +546,7 @@ fn handle_conn(
 
 /// Reads exactly `buf` from a stream whose read timeout slices the
 /// wait, giving up at `deadline`. `false` means truncated/disconnected.
-fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
+pub(crate) fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -610,6 +610,28 @@ fn reject_bad_frame(stream: &mut TcpStream, shared: &Shared, err: &FrameError) -
         StatusCode::BadRequest,
         0,
         err.to_string().as_bytes(),
+    );
+    false
+}
+
+/// Answers `Draining` to a request arriving during the drain; the
+/// connection then closes.
+fn reject_draining(stream: &mut TcpStream, shared: &Shared, trace_id: u64) -> bool {
+    shared
+        .stats
+        .rejected_draining
+        .fetch_add(1, Ordering::Relaxed);
+    mupod_obs::counter_add("serve.rejected_draining", 1);
+    shared
+        .telemetry
+        .flight
+        .record(trace_id, FlightStage::Shed, -1, StatusCode::Draining.wire());
+    write_response(
+        stream,
+        shared,
+        StatusCode::Draining,
+        trace_id,
+        b"server draining; not accepting work",
     );
     false
 }
@@ -692,25 +714,7 @@ fn serve_one(
         }
     }
     if shared.is_draining() {
-        shared
-            .stats
-            .rejected_draining
-            .fetch_add(1, Ordering::Relaxed);
-        mupod_obs::counter_add("serve.rejected_draining", 1);
-        shared.telemetry.flight.record(
-            trace_id,
-            FlightStage::Shed,
-            -1,
-            StatusCode::Draining.wire(),
-        );
-        write_response(
-            stream,
-            shared,
-            StatusCode::Draining,
-            trace_id,
-            b"server draining; not accepting work",
-        );
-        return false;
+        return reject_draining(stream, shared, trace_id);
     }
     // Re-evaluate the degradation ladder at every admission.
     let depth = shared.queue.len();
@@ -751,12 +755,7 @@ fn serve_one(
         );
     }
     let accepted = Instant::now();
-    let deadline = accepted
-        + if h.deadline_ms == 0 {
-            cfg.default_deadline
-        } else {
-            Duration::from_millis(u64::from(h.deadline_ms))
-        };
+    let deadline = accepted + h.budget(cfg.default_deadline);
     let (tx, rx) = mpsc::sync_channel(1);
     let job = Job {
         kind: h.kind,
@@ -792,27 +791,7 @@ fn serve_one(
                 b"request queue full",
             );
         }
-        Err((PushError::Closed, _)) => {
-            shared
-                .stats
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_draining", 1);
-            shared.telemetry.flight.record(
-                trace_id,
-                FlightStage::Shed,
-                -1,
-                StatusCode::Draining.wire(),
-            );
-            write_response(
-                stream,
-                shared,
-                StatusCode::Draining,
-                trace_id,
-                b"server draining; not accepting work",
-            );
-            return false;
-        }
+        Err((PushError::Closed, _)) => return reject_draining(stream, shared, trace_id),
     }
     shared.telemetry.in_flight.add(1);
     let wait = deadline.saturating_duration_since(Instant::now())
