@@ -1514,6 +1514,16 @@ mod tests {
         s.split_whitespace().map(|x| x.to_string()).collect()
     }
 
+    /// Serializes the tests that do pipeline work. `run` installs a
+    /// process-global recorder, and instrumented work another test does
+    /// meanwhile outside its own `run` — cancelling a token counts
+    /// `runtime.cancellations` — lands in that recorder and breaks the
+    /// exact counter comparison of the exports test.
+    fn pipeline_lock() -> std::sync::MutexGuard<'static, ()> {
+        static PIPELINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        PIPELINE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn parses_inspect() {
         let cmd = parse(&argv("inspect --model alexnet --scale tiny")).unwrap();
@@ -1670,6 +1680,7 @@ mod tests {
 
     #[test]
     fn explicit_exact_tier_matches_default_profile_artifact() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_kernel_tier_test");
         std::fs::create_dir_all(&dir).unwrap();
         let base = format!(
@@ -1691,6 +1702,7 @@ mod tests {
 
     #[test]
     fn threads_flag_does_not_change_profile_artifact() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_threads_test");
         std::fs::create_dir_all(&dir).unwrap();
         let base = format!(
@@ -1712,6 +1724,7 @@ mod tests {
 
     #[test]
     fn saved_artifacts_are_sealed_and_verifiable() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_seal_test");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("p.csv");
@@ -1735,6 +1748,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_exits_interrupted() {
+        let _serial = pipeline_lock();
         let cmd = parse(&argv("inspect --model alexnet --scale tiny --images 24")).unwrap();
         let token = CancelToken::new();
         token.cancel(mupod_runtime::CancelReason::Interrupt);
@@ -1963,6 +1977,7 @@ mod tests {
 
     #[test]
     fn inspect_runs_end_to_end() {
+        let _serial = pipeline_lock();
         let cmd = parse(&argv("inspect --model squeezenet --scale tiny --images 24")).unwrap();
         let text = run(&cmd).unwrap();
         assert!(text.contains("26 analyzable layers"), "{text}");
@@ -1971,6 +1986,7 @@ mod tests {
 
     #[test]
     fn optimize_saves_allocation_csv() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_save_test");
         std::fs::create_dir_all(&dir).unwrap();
         let out_csv = dir.join("alloc.csv").to_string_lossy().to_string();
@@ -2000,6 +2016,7 @@ mod tests {
 
     #[test]
     fn journaled_profile_resumes_and_matches() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_journal_test");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("p.csv").to_string_lossy().to_string();
@@ -2028,6 +2045,7 @@ mod tests {
     /// recorder, so the test must not install one of its own around it.
     #[test]
     fn metrics_and_trace_exports_are_deterministic() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_obs_test");
         std::fs::create_dir_all(&dir).unwrap();
         let run_once = |tag: &str| {
@@ -2091,6 +2109,7 @@ mod tests {
 
     #[test]
     fn profile_then_optimize_via_csv() {
+        let _serial = pipeline_lock();
         let dir = std::env::temp_dir().join("mupod_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("p.csv").to_string_lossy().to_string();

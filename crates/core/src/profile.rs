@@ -8,7 +8,11 @@
 //!
 //! Clean activations are cached once per image; only the affected suffix
 //! re-executes per `(layer, Δ)` pair — the optimization that makes
-//! 156-layer profiling take minutes, not days.
+//! 156-layer profiling take minutes, not days. The replays of one `Δ`
+//! run [`REPLAY_BATCH`] `(image, repeat)` samples at a time as one
+//! batched suffix run, so the narrow GEMMs deep in a network fill their
+//! register tiles; the statistics come out bit-identical to replaying
+//! one sample at a time.
 
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::tap::UniformNoiseTap;
@@ -247,6 +251,23 @@ impl From<ExecError> for ProfileError {
     }
 }
 
+/// `(image, repeat)` samples replayed together in one batched run.
+pub(crate) const REPLAY_BATCH: usize = 8;
+
+/// The arena every profiling sweep replays on: [`REPLAY_BATCH`] slots on
+/// the configured kernel tier. The plain, journaled and weight profilers
+/// all build theirs here.
+pub(crate) fn replay_arena(net: &Network, config: &ProfileConfig) -> ExecArena {
+    ExecArena::new(net, REPLAY_BATCH, config.kernel_tier)
+}
+
+/// The noise stream of one `(layer, Δ, repeat, image)` sample, keyed by
+/// positions only, so any batching or thread schedule draws the same
+/// noise.
+fn sample_stream(layer_index: usize, j: usize, rep: usize, image: usize) -> u64 {
+    ((layer_index as u64) << 44) ^ ((j as u64) << 28) ^ ((rep as u64) << 14) ^ image as u64
+}
+
 /// The checks a profiling pass runs: the full sweep when the guardrails
 /// validate activations, none otherwise.
 pub(crate) fn validation(validate_activations: bool) -> ValidateConfig {
@@ -259,20 +280,24 @@ pub(crate) fn validation(validate_activations: bool) -> ValidateConfig {
 
 /// The clean activation cache of every image, each from its own
 /// exact-tier pass — validated up front (if configured) so a poisoned
-/// image or weight set fails fast, before a sweep begins. Shared by the
-/// input and weight profilers.
+/// image or weight set fails fast, before a sweep begins. Each cache is
+/// pruned to what suffix replays from `layers` read
+/// ([`Network::replay_operands`]) as soon as its pass completes. Shared
+/// by the input and weight profilers.
 pub(crate) fn clean_passes(
     net: &Network,
     images: &[Tensor],
+    layers: &[NodeId],
     validate_activations: bool,
 ) -> Result<Vec<Activations>, ExecError> {
     let checks = validation(validate_activations);
+    let keep = net.replay_operands(layers);
+    let mut arena = ExecArena::for_network(net);
     images
         .iter()
         .map(|img| {
-            let mut arena = ExecArena::for_network(net);
             net.run(Run::image(img).validate(checks), &mut arena)?;
-            Ok(arena.into_activations())
+            Ok(arena.activations(0).retained(&keep))
         })
         .collect()
 }
@@ -532,7 +557,7 @@ impl<'a> Profiler<'a> {
         let _sweep_span = mupod_obs::span("profile.sweep");
         // Clean passes, cached once — validated up front so a poisoned
         // image or weight set fails fast, before the sweep begins.
-        let (clean, inventory) = self.sweep_inputs()?;
+        let (clean, inventory) = self.sweep_inputs(layers)?;
         let rng = SeededRng::new(self.config.seed);
 
         let done = std::sync::atomic::AtomicUsize::new(0);
@@ -554,7 +579,7 @@ impl<'a> Profiler<'a> {
         let threads = threads.min(layers.len());
 
         if threads <= 1 {
-            let mut arena = ExecArena::new(self.net, 1, self.config.kernel_tier);
+            let mut arena = replay_arena(self.net, &self.config);
             let mut out = Vec::with_capacity(layers.len());
             for (li, &layer) in layers.iter().enumerate() {
                 out.push(finish(li, layer, &mut arena)?);
@@ -574,7 +599,7 @@ impl<'a> Profiler<'a> {
                     let next_job = &next_job;
                     let finish = &finish;
                     handles.push(scope.spawn(move || {
-                        let mut arena = ExecArena::new(self.net, 1, self.config.kernel_tier);
+                        let mut arena = replay_arena(self.net, &self.config);
                         let mut local = Vec::new();
                         loop {
                             let li = next_job.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -609,16 +634,19 @@ impl<'a> Profiler<'a> {
         Ok(Profile::from_layers(out))
     }
 
-    /// Computes the clean (validated, if configured) activation cache and
-    /// the layer inventory — the shared setup of every profiling entry
-    /// point, including the journaled one.
+    /// Computes the clean (validated, if configured) activation cache,
+    /// pruned for replays from `layers`, and the layer inventory — the
+    /// shared setup of every profiling entry point, including the
+    /// journaled one.
     pub(crate) fn sweep_inputs(
         &self,
+        layers: &[NodeId],
     ) -> Result<(Vec<mupod_nn::Activations>, LayerInventory), ProfileError> {
         let _span = mupod_obs::span("profile.clean_pass");
         let clean = clean_passes(
             self.net,
             self.images,
+            layers,
             self.config.guard.validate_activations,
         )?;
         let inventory = LayerInventory::measure(self.net, self.images.iter().cloned());
@@ -672,6 +700,11 @@ impl<'a> Profiler<'a> {
         let cfg = &self.config;
         let checks = validation(cfg.guard.validate_activations);
         let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
+        let repeats = cfg.repeats.max(1);
+        // Sample `t` is image `t / repeats`, repeat `t % repeats`: the
+        // order the σ statistics have always been accumulated in.
+        let samples = self.images.len() * repeats;
+        let mut full_images: Vec<Tensor> = Vec::new();
         let mut sigmas = Vec::with_capacity(cfg.n_deltas);
         let mut deltas = Vec::with_capacity(cfg.n_deltas);
         for j in 0..cfg.n_deltas {
@@ -680,24 +713,37 @@ impl<'a> Profiler<'a> {
             self.cancel_checkpoint()?;
             let delta =
                 scale * cfg.delta_max_fraction * (-(j as f64) * cfg.delta_step_octaves).exp2();
+            // The per-slot noise streams are set for each batch below.
+            let mut tap = UniformNoiseTap::single(layer, delta, rng.clone());
             let mut stats = RunningStats::new();
-            for (i, (img, base)) in self.images.iter().zip(clean).enumerate() {
-                for rep in 0..cfg.repeats.max(1) {
-                    let stream = ((layer_index as u64) << 44)
-                        ^ ((j as u64) << 28)
-                        ^ ((rep as u64) << 14)
-                        ^ i as u64;
-                    let mut tap = UniformNoiseTap::single(layer, delta, rng.fork(stream));
-                    // Both paths run on the per-worker arena: zero heap
-                    // allocation per replay, and suffix replay is
-                    // bit-identical to the full tapped pass (asserted by
-                    // the mupod-nn replay property suite).
-                    let run = if cfg.full_replay {
-                        Run::image(img)
-                    } else {
-                        Run::suffix(base, layer)
-                    };
-                    let noisy = self.net.run(run.tap(&mut tap).validate(checks), arena)?;
+            for first in (0..samples).step_by(REPLAY_BATCH) {
+                let batch = first..samples.min(first + REPLAY_BATCH);
+                let mut bases = [&clean[0]; REPLAY_BATCH];
+                for (slot, t) in batch.clone().enumerate() {
+                    bases[slot] = &clean[t / repeats];
+                }
+                let bases = &bases[..batch.len()];
+                tap.set_streams(
+                    batch
+                        .clone()
+                        .map(|t| rng.fork(sample_stream(layer_index, j, t % repeats, t / repeats))),
+                );
+                // Both paths run on the per-worker arena: zero heap
+                // allocation per replay, and suffix replay is
+                // bit-identical to the full tapped pass (asserted by
+                // the mupod-nn replay property suite).
+                let run = if cfg.full_replay {
+                    full_images.resize_with(REPLAY_BATCH, || Tensor::zeros(&[1]));
+                    for (image, t) in full_images.iter_mut().zip(batch.clone()) {
+                        image.clone_from(&self.images[t / repeats]);
+                    }
+                    Run::images(&full_images[..batch.len()])
+                } else {
+                    Run::suffix(bases, layer)
+                };
+                self.net.run(run.tap(&mut tap).validate(checks), arena)?;
+                for (slot, base) in bases.iter().enumerate() {
+                    let noisy = self.net.output(arena.activations(slot));
                     let ref_out = self.net.output(base);
                     for (a, b) in noisy.data().iter().zip(ref_out.data()) {
                         stats.push((a - b) as f64);

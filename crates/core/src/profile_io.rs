@@ -559,7 +559,7 @@ impl<'a> Profiler<'a> {
 
         let computed = remaining.len();
         if !remaining.is_empty() {
-            let (clean, inventory) = self.sweep_inputs()?;
+            let (clean, inventory) = self.sweep_inputs(layers)?;
             let rng = SeededRng::new(self.config.seed);
             // Sequential commit order keeps the journal deterministic;
             // computation itself still parallelizes below.
@@ -570,7 +570,7 @@ impl<'a> Profiler<'a> {
             };
             let threads = threads.min(remaining.len());
             let computed_profiles: Vec<(usize, LayerProfile)> = if threads <= 1 {
-                let mut arena = mupod_nn::ExecArena::for_network(self.net);
+                let mut arena = crate::profile::replay_arena(self.net, &self.config);
                 let mut out = Vec::with_capacity(remaining.len());
                 for &(li, layer) in &remaining {
                     let p = self.profile_one(li, layer, &clean, &inventory, &rng, &mut arena)?;
@@ -639,7 +639,7 @@ impl<'a> Profiler<'a> {
                     let tx = tx.clone();
                     let next_job = &next_job;
                     scope.spawn(move || {
-                        let mut arena = mupod_nn::ExecArena::for_network(self.net);
+                        let mut arena = crate::profile::replay_arena(self.net, &self.config);
                         loop {
                             let pos = next_job.fetch_add(1, Ordering::Relaxed);
                             let Some(&(li, layer)) = jobs.get(pos) else {

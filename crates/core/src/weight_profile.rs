@@ -18,17 +18,19 @@
 //! Profiling cost is higher than the input profiler's: perturbing
 //! weights invalidates the layer itself, so each probe clones the network
 //! with that layer perturbed and replays the suffix from the clean
-//! activation cache through one reused execution arena.
+//! activation caches, [`REPLAY_BATCH`] images per batched run, through
+//! one reused execution arena.
 //! Note that one weight perturbation is *shared* by all images (as real
 //! rounding would be), so `ProfileConfig::repeats` is the effective
 //! sample count of each σ estimate — use ≥ 8 repeats here where the
 //! input profiler is happy with 2.
 
 use crate::profile::{
-    clean_passes, fit_sweep_guarded, validation, LayerProfile, Profile, ProfileConfig, ProfileError,
+    clean_passes, fit_sweep_guarded, replay_arena, validation, LayerProfile, Profile,
+    ProfileConfig, ProfileError, REPLAY_BATCH,
 };
 use mupod_nn::inventory::LayerInventory;
-use mupod_nn::{ExecArena, Network, NodeId, Op, Run};
+use mupod_nn::{Network, NodeId, Op, Run};
 use mupod_stats::{RunningStats, SeededRng};
 use mupod_tensor::Tensor;
 
@@ -70,11 +72,12 @@ pub fn profile_weights(
     }
     // Validated up front, same policy as the input profiler: poisoned
     // weights or images must fail fast with a typed error.
-    let clean = clean_passes(net, images, config.guard.validate_activations)?;
+    let clean = clean_passes(net, images, layers, config.guard.validate_activations)?;
+    let clean: Vec<_> = clean.iter().collect();
     let checks = validation(config.guard.validate_activations);
     // Every perturbed clone shares `net`'s shapes, so one arena serves
     // all replays.
-    let mut arena = ExecArena::for_network(net);
+    let mut arena = replay_arena(net, config);
     let inventory = LayerInventory::measure(net, images.iter().cloned());
     let rng = SeededRng::new(config.seed ^ 0x77EE);
 
@@ -97,11 +100,14 @@ pub fn profile_weights(
                 let stream = ((li as u64) << 44) ^ ((j as u64) << 28) ^ rep as u64;
                 let mut noise_rng = rng.fork(stream);
                 let noisy = net.with_perturbed_weights(layer, delta, &mut noise_rng);
-                for base in &clean {
-                    let out_t = noisy.run(Run::suffix(base, layer).validate(checks), &mut arena)?;
-                    let ref_out = net.output(base);
-                    for (a, b) in out_t.data().iter().zip(ref_out.data()) {
-                        stats.push((a - b) as f64);
+                for bases in clean.chunks(REPLAY_BATCH) {
+                    noisy.run(Run::suffix(bases, layer).validate(checks), &mut arena)?;
+                    for (slot, base) in bases.iter().enumerate() {
+                        let out_t = net.output(arena.activations(slot));
+                        let ref_out = net.output(base);
+                        for (a, b) in out_t.data().iter().zip(ref_out.data()) {
+                            stats.push((a - b) as f64);
+                        }
                     }
                 }
             }

@@ -3,7 +3,7 @@
 //! must classify every image the same as the exact tier, and the exact
 //! tier must stay byte-for-byte the default.
 
-use mupod_core::{AccuracyEvaluator, AccuracyMode};
+use mupod_core::{AccuracyEvaluator, AccuracyMode, ProfileConfig, Profiler};
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod_nn::{ExecArena, KernelTier, Network, Run};
@@ -81,5 +81,48 @@ fn exact_tier_is_the_default_and_stays_bit_reproducible() {
         let bits_a: Vec<u32> = la.iter().map(|v| v.to_bits()).collect();
         let bits_b: Vec<u32> = lb.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits_a, bits_b);
+    }
+}
+
+#[test]
+fn journaled_profile_runs_on_the_configured_tier() {
+    let (net, data) = setup(0x64, 6);
+    let layers = ModelKind::AlexNet.analyzable_layers(&net);
+    let images = &data.images()[..6];
+    let config = |kernel_tier, threads| ProfileConfig {
+        n_deltas: 5,
+        kernel_tier,
+        threads,
+        ..ProfileConfig::default()
+    };
+    let plain = |tier| {
+        Profiler::new(&net, images)
+            .with_config(config(tier, 1))
+            .profile(&layers)
+            .unwrap()
+    };
+    let fast = plain(KernelTier::Fast);
+    assert_ne!(
+        fast,
+        plain(KernelTier::Exact),
+        "the tiers must differ for this check to mean anything"
+    );
+    // The sequential and the parallel journaled paths build their own
+    // arenas; both must honour the tier.
+    for threads in [1, 2] {
+        let path = std::env::temp_dir().join(format!(
+            "mupod_tier_journal_{}_{threads}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let (journaled, _) = Profiler::new(&net, images)
+            .with_config(config(KernelTier::Fast, threads))
+            .profile_journaled(&layers, &path)
+            .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            journaled, fast,
+            "journaled fast-tier profile, {threads} threads"
+        );
     }
 }

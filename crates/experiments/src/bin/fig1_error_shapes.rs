@@ -44,7 +44,7 @@ fn run() -> Result<(), ExperimentError> {
         let clean_in = base.get(producer).clone();
         let mut tap = UniformNoiseTap::single(layer, delta, rng.fork(i as u64));
         let mut noisy_in = clean_in.clone();
-        tap.apply(layer, &mut noisy_in);
+        tap.apply(layer, 0, &mut noisy_in);
         for (a, b) in noisy_in.data().iter().zip(clean_in.data()) {
             // lint:allow(no-float-eq) reason=the noise tap skips exactly-zero activations, so only nonzero entries carry an injected error worth sampling
             if *b != 0.0 {
@@ -57,7 +57,7 @@ fn run() -> Result<(), ExperimentError> {
         // error.
         let mut tap2 = UniformNoiseTap::single(layer, delta, rng.fork(i as u64));
         let noisy_out = net
-            .run(Run::suffix(&base, layer).tap(&mut tap2), &mut arena)
+            .run(Run::suffix(&[&base], layer).tap(&mut tap2), &mut arena)
             .map_err(|e| ExperimentError::Invariant(e.to_string()))?;
         for (a, b) in noisy_out.data().iter().zip(net.output(&base).data()) {
             let e = (a - b) as f64;

@@ -9,15 +9,16 @@
 //! * [`Run::images`] evaluates every node for a batch of images, one
 //!   arena slot each (a batch of one is the single-image case);
 //!   [`Run::suffix`] re-evaluates only the nodes downstream of one
-//!   dot-product layer, reading every other operand from a clean
-//!   [`Activations`] cache;
+//!   dot-product layer for a batch of clean [`Activations`] caches, one
+//!   slot each, reading every other operand from the slot's cache;
 //! * [`Run::tap`] lets an [`InputTap`] perturb the data operand of the
-//!   dot-product layers it claims (in a suffix run: the start layer);
+//!   dot-product layers it claims (in a suffix run: the start layer),
+//!   telling it which slot each operand belongs to;
 //! * [`Run::validate`] sweeps the images and each produced activation
 //!   for NaN/Inf and names the first layer that emitted one.
 //!
-//! Convolution nodes run the whole batch through one packed GEMM per
-//! group ([`conv2d_batch_into`]); every other op runs per image. Neither
+//! Convolution nodes run the whole batch through packed GEMMs
+//! ([`conv2d_batch_into`]); every other op runs per image. Neither
 //! changes a bit relative to evaluating images one at a time, so a
 //! batched answer never depends on the rest of its batch. A warm arena
 //! performs zero heap allocation per run.
@@ -116,12 +117,34 @@ impl std::error::Error for ExecError {}
 /// Per-node activation tensors produced by a forward pass.
 ///
 /// Indexing follows [`NodeId`]; the input placeholder holds the image.
+/// A cache kept for suffix replays may be pruned to the activations the
+/// replays read ([`Activations::retained`]).
 #[derive(Debug, Clone)]
 pub struct Activations {
     tensors: Vec<Tensor>,
 }
 
 impl Activations {
+    /// A copy holding only the activations `keep` marks; every other
+    /// entry is an empty placeholder. Pair it with
+    /// [`Network::replay_operands`] to keep a clean cache no larger than
+    /// its suffix replays need.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` does not have one entry per activation.
+    pub fn retained(&self, keep: &[bool]) -> Activations {
+        assert_eq!(keep.len(), self.tensors.len(), "keep mask length mismatch");
+        Activations {
+            tensors: self
+                .tensors
+                .iter()
+                .zip(keep)
+                .map(|(t, &k)| if k { t.clone() } else { empty() })
+                .collect(),
+        }
+    }
+
     /// Activation of a node.
     ///
     /// # Panics
@@ -142,10 +165,17 @@ impl Activations {
     }
 }
 
+/// An empty tensor: the placeholder a pruned activation leaves behind,
+/// and a slot's tap scratch before its first use.
+fn empty() -> Tensor {
+    Tensor::from_vec(&[0], Vec::new())
+}
+
 /// What one [`Network::run`] computes: its source (a batch of images, or
-/// a suffix replay over clean activations), an optional input tap, and
-/// the finiteness checks. Built with [`Run::images`], [`Run::image`] or
-/// [`Run::suffix`], then refined with [`Run::tap`] and [`Run::validate`].
+/// a batch of suffix replays over clean activations), an optional input
+/// tap, and the finiteness checks. Built with [`Run::images`],
+/// [`Run::image`] or [`Run::suffix`], then refined with [`Run::tap`] and
+/// [`Run::validate`].
 pub struct Run<'a> {
     source: Source<'a>,
     tap: Option<&'a mut dyn InputTap>,
@@ -156,9 +186,9 @@ pub struct Run<'a> {
 enum Source<'a> {
     /// Full passes, one arena slot per image.
     Images(&'a [Tensor]),
-    /// Replay of the nodes affected by `start`, over `base`.
+    /// Replay of the nodes affected by `start`, slot `b` over `bases[b]`.
     Suffix {
-        base: &'a Activations,
+        bases: &'a [&'a Activations],
         start: NodeId,
     },
 }
@@ -182,19 +212,22 @@ impl<'a> Run<'a> {
         Self::images(std::slice::from_ref(image))
     }
 
-    /// Suffix replay (§V-A steps 3–4): re-evaluates `start` and every
-    /// node downstream of it, reading all other operands from the clean
-    /// activations `base`. The clean pass is computed once per image;
-    /// each (layer, Δ) pair then replays only the affected part. The
-    /// tap, if any, is applied exactly once, to `start`'s data input.
-    pub fn suffix(base: &'a Activations, start: NodeId) -> Self {
-        Self::new(Source::Suffix { base, start })
+    /// Suffix replay (§V-A steps 3–4) of a batch: slot `b` re-evaluates
+    /// `start` and every node downstream of it, reading all other
+    /// operands from the clean activations `bases[b]`. The clean pass is
+    /// computed once per image; each (layer, Δ) pair then replays only
+    /// the affected part. One cache may fill several slots (one per
+    /// noise repeat), and a batch of one is the single-image case. The
+    /// tap, if any, is applied exactly once per slot, to `start`'s data
+    /// input.
+    pub fn suffix(bases: &'a [&'a Activations], start: NodeId) -> Self {
+        Self::new(Source::Suffix { bases, start })
     }
 
     /// Lets `tap` perturb the data input of each dot-product layer it
     /// claims (noise injection, quantization, fault injection). In a
     /// batch the tap sees every image of a node in slot order before the
-    /// next node.
+    /// next node, and learns each image's slot.
     pub fn tap(mut self, tap: &'a mut dyn InputTap) -> Self {
         self.tap = Some(tap);
         self
@@ -212,9 +245,9 @@ impl<'a> Run<'a> {
 }
 
 /// Reusable execution state for one network: `max_batch` slots of
-/// activations pre-shaped from the build-time dry run, lazily-cloned
-/// tap scratch per slot, the shared im2col and GEMM scratch, and the
-/// suffix affected-set buffer.
+/// activations pre-shaped from the build-time dry run, one tap scratch
+/// per slot, the shared im2col and GEMM scratch, and the suffix
+/// affected-set buffer.
 ///
 /// Create one per worker thread and pass it to [`Network::run`]. After
 /// the first run at a given batch size a warm arena performs **zero**
@@ -257,11 +290,13 @@ pub struct ExecArena {
     tier: KernelTier,
 }
 
-/// One batch image's activations and tap input scratch.
+/// One batch image's activations and tap input scratch. The scratch
+/// takes the shape of whichever operand is tapped and grows to the
+/// largest one.
 #[derive(Debug)]
 struct Slot {
     acts: Activations,
-    tap_in: Vec<Option<Tensor>>,
+    tap_in: Tensor,
 }
 
 impl ExecArena {
@@ -287,7 +322,7 @@ impl ExecArena {
                     .map(|i| Tensor::zeros(net.node_out_dims(NodeId(i))))
                     .collect(),
             },
-            tap_in: vec![None; net.node_count()],
+            tap_in: empty(),
         };
         Self {
             slots: (0..max_batch).map(|_| slot()).collect(),
@@ -304,7 +339,8 @@ impl ExecArena {
     }
 
     /// The activations slot `slot` holds from the most recent run. After
-    /// a suffix run only the replayed nodes of slot 0 are current.
+    /// a suffix run only the replayed nodes and the output of the
+    /// replayed slots are current.
     ///
     /// # Panics
     ///
@@ -474,26 +510,60 @@ pub(crate) fn eval_op_into(op: &Op, inputs: &[&Tensor], out: &mut Tensor, tier: 
 }
 
 impl Network {
+    /// Marks in `affected` the nodes a suffix replay from `start`
+    /// re-evaluates: `start` and every node downstream of it.
+    fn mark_affected(&self, start: NodeId, affected: &mut Vec<bool>) {
+        affected.clear();
+        affected.resize(self.nodes.len(), false);
+        affected[start.0] = true;
+        for i in (start.0 + 1)..self.nodes.len() {
+            affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
+        }
+    }
+
+    /// Which activations a suffix replay from any of `starts` reads from
+    /// its clean cache — the unaffected operands of the nodes it
+    /// re-evaluates — plus the network output, against which a replay's
+    /// logits are compared. The keep mask for
+    /// [`Activations::retained`].
+    pub fn replay_operands(&self, starts: &[NodeId]) -> Vec<bool> {
+        let mut keep = vec![false; self.nodes.len()];
+        keep[self.output.0] = true;
+        let mut affected = Vec::new();
+        for &start in starts {
+            self.mark_affected(start, &mut affected);
+            for (node, _) in self.nodes.iter().zip(&affected).filter(|(_, &a)| a) {
+                for p in &node.inputs {
+                    keep[p.0] |= !affected[p.0];
+                }
+            }
+        }
+        keep
+    }
+
     /// Executes `run` into `arena` — the one node loop behind every
-    /// forward pass — and returns the logits of its first image. For a
-    /// suffix run these are the replayed logits (or the clean ones, if
-    /// the start layer does not reach the output). Every image's
-    /// activations stay readable through [`ExecArena::activations`].
+    /// forward pass — and returns the logits of its first image. Every
+    /// image's logits are readable afterwards as
+    /// `net.output(arena.activations(b))` — in a suffix run too, where a
+    /// start layer that does not reach the output leaves the clean
+    /// logits — and a full pass leaves every activation there.
     ///
     /// # Errors
     ///
     /// Only a validated run fails: [`ExecError::NonFiniteInput`] for a
     /// bad image and [`ExecError::NonFiniteActivation`] naming the first
-    /// layer whose output contains NaN/Inf.
+    /// layer (in topological order, over the whole batch) whose output
+    /// contains NaN/Inf.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or one larger than the arena's
     /// `max_batch`, an image whose shape is not
     /// [`Network::input_dims`], a suffix start that is not a dot-product
-    /// layer, clean activations or an arena built for a different
+    /// layer, clean activations built for a different network or pruned
+    /// of an operand the replay reads, an arena built for a different
     /// network, and a node with more than 16 inputs.
-    pub fn run<'s>(&self, run: Run<'s>, arena: &'s mut ExecArena) -> Result<&'s Tensor, ExecError> {
+    pub fn run<'s>(&self, run: Run<'_>, arena: &'s mut ExecArena) -> Result<&'s Tensor, ExecError> {
         let Run {
             source,
             tap,
@@ -513,15 +583,26 @@ impl Network {
         } = arena;
         let n_nodes = self.nodes.len();
         let max_batch = slots.len();
-        let (live, suffix) = match source {
+        let n = match source {
+            Source::Images(images) => images.len(),
+            Source::Suffix { bases, .. } => bases.len(),
+        };
+        assert!(n > 0, "empty batch");
+        assert!(
+            n <= max_batch,
+            "batch of {n} exceeds the arena's {max_batch} slots"
+        );
+        let live = &mut slots[..n];
+        for slot in live.iter() {
+            assert_eq!(
+                slot.acts.tensors.len(),
+                n_nodes,
+                "arena does not match network"
+            );
+        }
+        let suffix = match source {
             Source::Images(images) => {
-                let n = images.len();
-                assert!(n > 0, "empty batch");
-                assert!(
-                    n <= max_batch,
-                    "batch of {n} exceeds the arena's {max_batch} slots"
-                );
-                for (slot, image) in slots.iter_mut().zip(images) {
+                for (slot, image) in live.iter_mut().zip(images) {
                     assert_eq!(
                         image.dims(),
                         self.input_dims(),
@@ -542,40 +623,39 @@ impl Network {
                     mupod_obs::counter_add("nn.batch_passes", 1);
                     mupod_obs::counter_add("nn.batch_images", n as u64);
                 }
-                (&mut slots[..n], None)
+                None
             }
-            Source::Suffix { base, start } => {
-                assert_eq!(
-                    base.len(),
-                    n_nodes,
-                    "activation cache does not match network"
-                );
+            Source::Suffix { bases, start } => {
                 assert!(
                     self.nodes[start.0].op.is_dot_product(),
                     "suffix replay must start at a dot-product layer"
                 );
-                affected.clear();
-                affected.resize(n_nodes, false);
-                affected[start.0] = true;
-                for i in (start.0 + 1)..n_nodes {
-                    affected[i] = self.nodes[i].inputs.iter().any(|p| affected[p.0]);
+                self.mark_affected(start, affected);
+                for base in bases {
+                    assert_eq!(
+                        base.len(),
+                        n_nodes,
+                        "activation cache does not match network"
+                    );
+                    for (i, node) in self.nodes.iter().enumerate().filter(|&(i, _)| affected[i]) {
+                        for &p in node.inputs.iter().filter(|p| !affected[p.0]) {
+                            assert_eq!(
+                                base.get(p).dims(),
+                                self.node_out_dims(p),
+                                "clean activations were pruned of `{}`, an operand of `{}`",
+                                self.nodes[p.0].name,
+                                self.nodes[i].name
+                            );
+                        }
+                    }
                 }
-                mupod_obs::counter_add("nn.suffix_replays", 1);
-                mupod_obs::counter_add(
-                    "nn.node_evals",
-                    affected.iter().filter(|&&a| a).count() as u64,
-                );
-                (&mut slots[..1], Some((base, start)))
+                let evals = affected.iter().filter(|&&a| a).count();
+                mupod_obs::counter_add("nn.suffix_replays", n as u64);
+                mupod_obs::counter_add("nn.node_evals", (n * evals) as u64);
+                Some((bases, start))
             }
         };
         let affected: &[bool] = affected;
-        for slot in live.iter() {
-            assert_eq!(
-                slot.acts.tensors.len(),
-                n_nodes,
-                "arena does not match network"
-            );
-        }
         let first = suffix.map_or(1, |(_, start)| start.0);
         for (i, node) in self.nodes.iter().enumerate().skip(first) {
             if !affected[i] {
@@ -592,30 +672,34 @@ impl Network {
                 Some((_, start)) => id == start,
                 None => node.op.is_dot_product() && tap.wants(id),
             };
-            for chunk in live.chunks_mut(BATCH_CHUNK) {
+            for (c, chunk) in live.chunks_mut(BATCH_CHUNK).enumerate() {
                 let m = chunk.len();
                 // Each slot's operands: recomputed inputs from the slot
-                // itself, the rest of a suffix run's from the clean cache,
-                // and a tapped data input perturbed in the slot's scratch.
-                let gathered = chunk.iter_mut().map(|Slot { acts, tap_in }| {
-                    let (prev, rest) = acts.tensors.split_at_mut(i);
-                    let prev: &[Tensor] = prev;
-                    let resolve = |p: NodeId| match suffix {
-                        Some((base, _)) if !affected[p.0] => base.get(p),
-                        _ => &prev[p.0],
-                    };
-                    let mut ins = [resolve(node.inputs[0]); MAX_FANIN];
-                    for (slot, &p) in ins.iter_mut().zip(&node.inputs) {
-                        *slot = resolve(p);
-                    }
-                    if tapped {
-                        let scratch = tap_in[i].get_or_insert_with(|| ins[0].clone());
-                        scratch.copy_from(ins[0]);
-                        tap.apply(id, scratch);
-                        ins[0] = scratch;
-                    }
-                    (ins, &mut rest[0])
-                });
+                // itself, the rest of a suffix run's from the slot's clean
+                // cache, and a tapped data input perturbed in the slot's
+                // scratch.
+                let gathered = chunk
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(b, Slot { acts, tap_in })| {
+                        let slot = c * BATCH_CHUNK + b;
+                        let (prev, rest) = acts.tensors.split_at_mut(i);
+                        let prev: &[Tensor] = prev;
+                        let resolve = |p: NodeId| match suffix {
+                            Some((bases, _)) if !affected[p.0] => bases[slot].get(p),
+                            _ => &prev[p.0],
+                        };
+                        let mut ins = [resolve(node.inputs[0]); MAX_FANIN];
+                        for (input, &p) in ins.iter_mut().zip(&node.inputs) {
+                            *input = resolve(p);
+                        }
+                        if tapped {
+                            tap_in.clone_from(ins[0]);
+                            tap.apply(id, slot, tap_in);
+                            ins[0] = tap_in;
+                        }
+                        (ins, &mut rest[0])
+                    });
                 let Op::Conv2d {
                     params,
                     weight,
@@ -627,8 +711,8 @@ impl Network {
                     }
                     continue;
                 };
-                // The chunk's convolutions run as one batched GEMM per
-                // group; entries past `m` keep a placeholder and are unread.
+                // The chunk's convolutions run as batched GEMMs; entries
+                // past `m` keep a placeholder and are unread.
                 let mut conv_in = [weight; BATCH_CHUNK];
                 let mut conv_out: [&mut [f32]; BATCH_CHUNK] = Default::default();
                 for (b, (ins, out)) in gathered.enumerate() {
@@ -658,10 +742,13 @@ impl Network {
                 }
             }
         }
-        Ok(match suffix {
-            Some((base, _)) if !affected[self.output.0] => base.get(self.output),
-            _ => &live[0].acts.tensors[self.output.0],
-        })
+        let out = self.output.0;
+        if let Some((bases, _)) = suffix.filter(|_| !affected[out]) {
+            for (slot, base) in live.iter_mut().zip(bases) {
+                slot.acts.tensors[out].copy_from(base.get(self.output));
+            }
+        }
+        Ok(&live[0].acts.tensors[out])
     }
 
     /// Unvalidated single-image run: the logits of `image`.
@@ -856,7 +943,7 @@ mod tests {
             // we replay the suffix or rerun the full network.
             let mut tap = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
             let suffix = net
-                .run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+                .run(Run::suffix(&[&base], layer).tap(&mut tap), &mut arena)
                 .unwrap()
                 .clone();
             let mut tap = UniformNoiseTap::single(layer, 0.05, SeededRng::new(77));
@@ -873,7 +960,7 @@ mod tests {
         let base = net.forward(&image);
         let layer = net.dot_product_layers()[1];
         let mut arena = ExecArena::for_network(&net);
-        let out = net.run(Run::suffix(&base, layer), &mut arena).unwrap();
+        let out = net.run(Run::suffix(&[&base], layer), &mut arena).unwrap();
         assert_eq!(bits(out), bits(net.output(&base)));
     }
 
@@ -887,7 +974,7 @@ mod tests {
         let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
         let mut arena = ExecArena::for_network(&net);
         let noisy = net
-            .run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+            .run(Run::suffix(&[&base], layer).tap(&mut tap), &mut arena)
             .unwrap();
         assert!(noisy.sub(net.output(&base)).max_abs() > 0.0);
     }
@@ -903,7 +990,7 @@ mod tests {
         let base = net.forward(&image);
         let layer = *net.dot_product_layers().last().unwrap();
         let mut tap = UniformNoiseTap::single(layer, 0.5, SeededRng::new(1));
-        net.run(Run::suffix(&base, layer).tap(&mut tap), &mut arena)
+        net.run(Run::suffix(&[&base], layer).tap(&mut tap), &mut arena)
             .unwrap();
 
         let image2 = random_tensor(&mut rng, &[2, 8, 8]);
@@ -988,7 +1075,8 @@ mod tests {
         let layer = net.dot_product_layers()[0];
         let mut tap = FaultTap::new(layer, FaultKind::PosInf, 1);
         let mut arena = ExecArena::for_network(&net);
-        let run = Run::suffix(&base, layer)
+        let bases = [&base];
+        let run = Run::suffix(&bases, layer)
             .tap(&mut tap)
             .validate(ValidateConfig::default());
         let err = net.run(run, &mut arena).unwrap_err();

@@ -28,8 +28,11 @@ pub trait InputTap {
     /// Whether this tap wants to perturb `node`'s data input.
     fn wants(&self, node: NodeId) -> bool;
 
-    /// Perturbs the data input of `node` in place.
-    fn apply(&mut self, node: NodeId, input: &mut Tensor);
+    /// Perturbs the data input of `node` in place, for the image in arena
+    /// slot `slot` of a batched run (`0` for a single image). A batch
+    /// applies the tap to every slot of a node in slot order, so a tap
+    /// that ignores the slot sees the images one after another.
+    fn apply(&mut self, node: NodeId, slot: usize, input: &mut Tensor);
 }
 
 /// The identity tap: perturbs nothing.
@@ -41,11 +44,17 @@ impl InputTap for NoTap {
         false
     }
 
-    fn apply(&mut self, _node: NodeId, _input: &mut Tensor) {}
+    fn apply(&mut self, _node: NodeId, _slot: usize, _input: &mut Tensor) {}
 }
 
 /// Adds symmetric uniform noise `U[-Δ_K, Δ_K]` to the inputs of selected
 /// layers, skipping exact zeros.
+///
+/// The tap holds one noise stream per batch slot: slot `b` draws from
+/// stream `b` alone, so an image's noise does not depend on which other
+/// images share its batch. [`UniformNoiseTap::single`] and
+/// [`UniformNoiseTap::new`] start with one stream (slot 0);
+/// [`UniformNoiseTap::set_streams`] supplies one per slot.
 ///
 /// # Example
 ///
@@ -58,14 +67,14 @@ impl InputTap for NoTap {
 /// # let some_node = NodeId::from_index_for_tests(1);
 /// let mut tap = UniformNoiseTap::single(some_node, 0.25, SeededRng::new(7));
 /// let mut t = Tensor::from_vec(&[3], vec![1.0, 0.0, -2.0]);
-/// tap.apply(some_node, &mut t);
+/// tap.apply(some_node, 0, &mut t);
 /// assert_eq!(t.data()[1], 0.0); // zeros stay exact
 /// assert!((t.data()[0] - 1.0).abs() <= 0.25);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformNoiseTap {
     deltas: HashMap<NodeId, f64>,
-    rng: SeededRng,
+    streams: Vec<SeededRng>,
 }
 
 impl UniformNoiseTap {
@@ -76,7 +85,10 @@ impl UniformNoiseTap {
 
     /// Tap several layers, each with its own half-width.
     pub fn new(deltas: HashMap<NodeId, f64>, rng: SeededRng) -> Self {
-        Self { deltas, rng }
+        Self {
+            deltas,
+            streams: vec![rng],
+        }
     }
 
     /// The half-width assigned to a node, if any.
@@ -84,13 +96,22 @@ impl UniformNoiseTap {
         self.deltas.get(&node).copied()
     }
 
-    /// Replaces the noise source, keeping the per-layer half-widths.
+    /// Replaces the noise source with one stream (slot 0), keeping the
+    /// per-layer half-widths.
     ///
     /// Parallel evaluators clone one template tap per worker and re-seed
     /// it with a per-image forked stream, so determinism is keyed to the
     /// image index rather than the worker schedule.
     pub fn set_rng(&mut self, rng: SeededRng) {
-        self.rng = rng;
+        self.set_streams([rng]);
+    }
+
+    /// Replaces the noise sources with one stream per batch slot, in slot
+    /// order, keeping the per-layer half-widths. Reuses the stream
+    /// buffer: no heap allocation once it has held as many streams.
+    pub fn set_streams(&mut self, streams: impl IntoIterator<Item = SeededRng>) {
+        self.streams.clear();
+        self.streams.extend(streams);
     }
 }
 
@@ -99,17 +120,25 @@ impl InputTap for UniformNoiseTap {
         self.deltas.get(&node).is_some_and(|&d| d > 0.0)
     }
 
-    fn apply(&mut self, node: NodeId, input: &mut Tensor) {
+    /// # Panics
+    ///
+    /// Panics if the tap holds no noise stream for `slot`.
+    fn apply(&mut self, node: NodeId, slot: usize, input: &mut Tensor) {
         let Some(&delta) = self.deltas.get(&node) else {
             return;
         };
         if delta <= 0.0 {
             return;
         }
+        let n_streams = self.streams.len();
+        let Some(rng) = self.streams.get_mut(slot) else {
+            // lint:allow(no-panic-path) reason=a missing stream is a caller bug; drawing from another slot's stream would silently correlate the batch
+            panic!("no noise stream for slot {slot} (the tap holds {n_streams})");
+        };
         for v in input.data_mut() {
             // lint:allow(no-float-eq) reason=deliberate exact test: post-ReLU structural zeros carry no rounding error and must stay exactly zero
             if *v != 0.0 {
-                *v += self.rng.symmetric_uniform(delta) as f32;
+                *v += rng.symmetric_uniform(delta) as f32;
             }
         }
     }
@@ -138,7 +167,7 @@ impl InputTap for QuantizeTap {
         self.formats.contains_key(&node)
     }
 
-    fn apply(&mut self, node: NodeId, input: &mut Tensor) {
+    fn apply(&mut self, node: NodeId, _slot: usize, input: &mut Tensor) {
         if let Some(fmt) = self.formats.get(&node) {
             fmt.quantize_tensor(input);
         }
@@ -178,7 +207,7 @@ impl InputTap for StochasticQuantizeTap {
         self.formats.contains_key(&node)
     }
 
-    fn apply(&mut self, node: NodeId, input: &mut Tensor) {
+    fn apply(&mut self, node: NodeId, _slot: usize, input: &mut Tensor) {
         if let Some(fmt) = self.formats.get(&node) {
             fmt.quantize_tensor_stochastic(input, &mut self.rng);
         }
@@ -249,7 +278,7 @@ impl InputTap for FaultTap {
         node == self.node
     }
 
-    fn apply(&mut self, node: NodeId, input: &mut Tensor) {
+    fn apply(&mut self, node: NodeId, _slot: usize, input: &mut Tensor) {
         if node != self.node {
             return;
         }
@@ -299,7 +328,7 @@ mod tests {
         let mut tap = UniformNoiseTap::single(node, 0.1, SeededRng::new(3));
         let original = vec![1.0f32, 0.0, -0.5, 0.0, 2.0];
         let mut t = Tensor::from_vec(&[5], original.clone());
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         for (o, n) in original.iter().zip(t.data()) {
             if *o == 0.0 {
                 assert_eq!(*n, 0.0);
@@ -314,8 +343,33 @@ mod tests {
         let mut tap = UniformNoiseTap::single(NodeId(1), 0.5, SeededRng::new(3));
         assert!(!tap.wants(NodeId(2)));
         let mut t = Tensor::from_vec(&[2], vec![1.0, 2.0]);
-        tap.apply(NodeId(2), &mut t);
+        tap.apply(NodeId(2), 0, &mut t);
         assert_eq!(t.data(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn each_slot_draws_from_its_own_stream() {
+        let node = NodeId(1);
+        let mut batched = UniformNoiseTap::single(node, 0.5, SeededRng::new(0));
+        batched.set_streams([SeededRng::new(10), SeededRng::new(11)]);
+        let mut got = [Tensor::filled(&[4], 1.0), Tensor::filled(&[4], 1.0)];
+        // Slot 1 first: a slot's noise must not depend on the others'.
+        batched.apply(node, 1, &mut got[1]);
+        batched.apply(node, 0, &mut got[0]);
+        for (slot, t) in got.iter().enumerate() {
+            let mut alone = UniformNoiseTap::single(node, 0.5, SeededRng::new(10 + slot as u64));
+            let mut want = Tensor::filled(&[4], 1.0);
+            alone.apply(node, 0, &mut want);
+            assert_eq!(t, &want, "slot {slot}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no noise stream for slot 1")]
+    fn missing_slot_stream_panics() {
+        let node = NodeId(1);
+        let mut tap = UniformNoiseTap::single(node, 0.5, SeededRng::new(0));
+        tap.apply(node, 1, &mut Tensor::filled(&[2], 1.0));
     }
 
     #[test]
@@ -331,7 +385,7 @@ mod tests {
         let mut tap = UniformNoiseTap::single(node, delta, SeededRng::new(8));
         let n = 50_000;
         let mut t = Tensor::filled(&[n], 1.0);
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         let errors: Vec<f64> = t.data().iter().map(|&v| (v - 1.0) as f64).collect();
         let sd = population_std(&errors);
         let expected = delta / 3.0f64.sqrt();
@@ -349,7 +403,7 @@ mod tests {
         assert!(tap.wants(node));
         assert!(!tap.wants(NodeId(3)));
         let mut t = Tensor::from_vec(&[3], vec![1.1, -0.9, 0.0]);
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         assert_eq!(t.data(), &[1.0, -1.0, 0.0]);
         assert_eq!(tap.format(node), Some(fmt));
     }
@@ -363,7 +417,7 @@ mod tests {
         assert!(tap.wants(node));
         let n = 20_000;
         let mut t = Tensor::filled(&[n], 0.6); // 0.4 of the way 0.5 -> 0.75
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         let mut mean = 0.0;
         for &v in t.data() {
             assert!(v == 0.5 || v == 0.75, "off grid: {v}");
@@ -390,7 +444,7 @@ mod tests {
         assert!(tap.wants(node));
         assert!(!tap.wants(NodeId(4)));
         let mut t = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         assert!(t.data()[0].is_nan());
         assert_eq!(&t.data()[1..], &[2.0, 3.0]);
     }
@@ -400,7 +454,7 @@ mod tests {
         let node = NodeId(1);
         let mut tap = FaultTap::new(node, FaultKind::PosInf, 2);
         let mut t = Tensor::from_vec(&[4], vec![1.0, 1.0, 1.0, 1.0]);
-        tap.apply(node, &mut t);
+        tap.apply(node, 0, &mut t);
         assert_eq!(t.data()[0], f32::INFINITY);
         assert_eq!(t.data()[1], 1.0);
         assert_eq!(t.data()[2], f32::INFINITY);
@@ -411,7 +465,7 @@ mod tests {
     fn fault_tap_ignores_other_nodes() {
         let mut tap = FaultTap::new(NodeId(1), FaultKind::NegInf, 1);
         let mut t = Tensor::from_vec(&[2], vec![1.0, 2.0]);
-        tap.apply(NodeId(2), &mut t);
+        tap.apply(NodeId(2), 0, &mut t);
         assert_eq!(t.data(), &[1.0, 2.0]);
     }
 

@@ -1,12 +1,12 @@
 //! Property tests: the executor's suffix mode is bit-identical to its
-//! full tapped mode, on randomized weights, images, layers, and noise
-//! magnitudes.
+//! full tapped mode, and a batched suffix run to per-image ones, on
+//! randomized weights, images, layers, and noise magnitudes.
 //!
 //! This equivalence is the correctness backbone of the profiler — if it
 //! drifted, every `λ_K`/`θ_K` measured with the fast path would be wrong.
 
 use mupod_nn::tap::{InputTap, QuantizeTap, UniformNoiseTap};
-use mupod_nn::{ExecArena, Network, NetworkBuilder, NodeId, Run};
+use mupod_nn::{ExecArena, KernelTier, Network, NetworkBuilder, NodeId, Run};
 use mupod_quant::FixedPointFormat;
 use mupod_stats::SeededRng;
 use mupod_tensor::conv::Conv2dParams;
@@ -80,7 +80,7 @@ fn suffix_and_full(
     let base = net.forward(image);
     let mut arena = ExecArena::for_network(net);
     let suffix = bits(
-        net.run(Run::suffix(&base, layer).tap(tap_a), &mut arena)
+        net.run(Run::suffix(&[&base], layer).tap(tap_a), &mut arena)
             .unwrap(),
     );
     let full = bits(net.run(Run::image(image).tap(tap_b), &mut arena).unwrap());
@@ -142,7 +142,57 @@ proptest! {
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let base = net.forward(&image);
         let mut arena = ExecArena::for_network(&net);
-        let out = net.run(Run::suffix(&base, layer), &mut arena).unwrap();
+        let out = net.run(Run::suffix(&[&base], layer), &mut arena).unwrap();
         prop_assert_eq!(bits(out), bits(net.output(&base)));
+    }
+
+    /// A batched suffix run — slot `b` over clean cache `bases[b]`, with
+    /// its own noise stream — is bit-identical to replaying each slot
+    /// alone, for every batch size up to 20 (crossing the executor's
+    /// 8-image chunk), with caches repeated across slots (as the
+    /// profiler's noise repeats do) and pruned to what the replay reads.
+    #[test]
+    fn batched_suffix_replay_equals_per_image_replays(
+        net_seed in 0u64..500,
+        img_seed in 0u64..500,
+        noise_seed in 0u64..500,
+        layer_idx in 0usize..5,
+        delta in 0.001f64..2.0,
+        fast in any::<bool>(),
+    ) {
+        let tier = if fast { KernelTier::Fast } else { KernelTier::Exact };
+        let net = random_net(net_seed);
+        let layers = net.dot_product_layers();
+        let layer = layers[layer_idx % layers.len()];
+        let mut rng = SeededRng::new(img_seed);
+        let keep = net.replay_operands(&[layer]);
+        let full: Vec<_> = (0..5)
+            .map(|_| net.forward(&random_tensor(&mut rng, &[2, 8, 8])))
+            .collect();
+        let pruned: Vec<_> = full.iter().map(|acts| acts.retained(&keep)).collect();
+        let stream = |b: usize| SeededRng::new(noise_seed).fork(b as u64);
+        let mut batched = ExecArena::new(&net, 20, tier);
+        let mut single = ExecArena::new(&net, 1, tier);
+        for n in 1..=20usize {
+            // Slot b replays image (3b mod 5): every image fills several
+            // slots, non-adjacent ones included.
+            let bases: Vec<_> = (0..n).map(|b| &pruned[(3 * b) % 5]).collect();
+            let mut tap = UniformNoiseTap::single(layer, delta, stream(0));
+            tap.set_streams((0..n).map(stream));
+            net.run(Run::suffix(&bases, layer).tap(&mut tap), &mut batched)
+                .unwrap();
+            for b in 0..n {
+                let mut tap = UniformNoiseTap::single(layer, delta, stream(b));
+                let alone = bits(
+                    net.run(Run::suffix(&[&full[(3 * b) % 5]], layer).tap(&mut tap), &mut single)
+                        .unwrap(),
+                );
+                prop_assert_eq!(
+                    bits(net.output(batched.activations(b))),
+                    alone,
+                    "slot {} of a batch of {}", b, n
+                );
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Zero-allocation contract: once an [`ExecArena`] is warm, every kind of
-//! run — plain, tapped, validated, suffix replay and batches of 1..=4 —
-//! performs no heap allocation at all.
+//! run — plain, tapped, validated, suffix replay, batches of 1..=4 and a
+//! batched suffix replay over pruned caches — performs no heap
+//! allocation at all.
 //!
 //! A counting global allocator records the allocations each run makes
 //! on the test's own thread.
@@ -118,7 +119,8 @@ fn warm_arena_runs_allocate_nothing() {
         net.run(Run::image(image).validate(checked), a).unwrap();
     });
     assert_warm_run_allocates_nothing("suffix", &mut arena, |a| {
-        net.run(Run::suffix(&base, layer).tap(&mut tap), a).unwrap();
+        net.run(Run::suffix(&[&base], layer).tap(&mut tap), a)
+            .unwrap();
     });
 
     // One warm-up at the largest batch covers every smaller one.
@@ -130,4 +132,22 @@ fn warm_arena_runs_allocate_nothing() {
         };
         assert_eq!(allocations(run), 0, "batch of {n} allocated");
     }
+
+    // The profiler's pattern: 8 slots over 4 pruned caches (each filling
+    // two slots), fresh per-slot noise streams before every run.
+    let keep = net.replay_operands(&[layer]);
+    let pruned: Vec<_> = images
+        .iter()
+        .map(|img| net.forward(img).retained(&keep))
+        .collect();
+    let bases: Vec<_> = (0..8).map(|b| &pruned[b / 2]).collect();
+    let mut replay = ExecArena::new(&net, 8, KernelTier::Exact);
+    assert_warm_run_allocates_nothing("batched suffix", &mut replay, |a| {
+        tap.set_streams((0..8).map(|b| SeededRng::new(b as u64)));
+        net.run(
+            Run::suffix(&bases, layer).tap(&mut tap).validate(checked),
+            a,
+        )
+        .unwrap();
+    });
 }

@@ -6,7 +6,7 @@
 //! benchmarks. Grouped convolution covers both AlexNet's two-group layers
 //! and MobileNet's depthwise layers (`groups == in_channels`).
 
-use crate::gemm::gemm_tiled;
+use crate::gemm::{gemm_tiled, NB};
 use crate::{KernelTier, Tensor};
 
 /// Geometry of a 2-D convolution.
@@ -228,30 +228,35 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Conv2dP
     out
 }
 
-/// Batch-N 2-D convolution: one im2col over the whole batch, one
-/// [`gemm_tiled`] per group on `tier` — the convolution kernel behind
-/// every forward pass (a single image is a batch of one).
+/// Batch-N 2-D convolution: the images' im2col columns packed side by
+/// side, one [`gemm_tiled`] per group on `tier` — the convolution kernel
+/// behind every forward pass (a single image is a batch of one).
 ///
 /// `inputs[b]` is image `b`'s CHW input, `weight` is
 /// `[OutC, InC/groups, K, K]`, and `outs[b]` receives image `b`'s CHW
-/// output (`out_channels · oh · ow` elements, fully overwritten). Every
-/// image's im2col columns are packed side by side into a single
-/// `(group_in_c · k²) × (N · oh · ow)` matrix, so the batch amortizes
-/// the weight-panel traffic of N separate GEMMs into one large product.
-/// For one image the GEMM accumulates straight into `outs[0]`; larger
-/// batches stage the product in `gemm_out` and scatter each image's
-/// column block back to its output.
+/// output (`out_channels · oh · ow` elements, fully overwritten).
 ///
-/// **Bit-identical to N single-image calls.** Per output element,
-/// [`gemm_tiled`] accumulates in ascending-`k` order with the exact-zero
-/// skip on the weight operand, and neither depends on the column count —
-/// appending other images' columns to the right of the matrix cannot
-/// change any element's addition sequence. The scatter back to
-/// per-image layout is a copy, and the bias add happens last in the
-/// same per-element position either way. The nn property suite asserts
-/// this across batch sizes and shapes. On [`KernelTier::Fast`] the
-/// per-group GEMM is [`crate::fast::gemm_fast`]; im2col and the bias
-/// add are tier-independent.
+/// **GEMM width.** Each GEMM takes `⌈128 / (oh·ow)⌉` images, so its
+/// column count reaches about one 128-wide column block of
+/// [`gemm_tiled`]. Narrow layers (the 4×4 … 1×1 outputs deep in a
+/// network) then fill the register tiles a single image leaves mostly
+/// empty, while wide layers keep one GEMM per image and their im2col
+/// scratch stays one image large. A one-image GEMM accumulates straight
+/// into its output; a wider one stages the product in `gemm_out` and
+/// scatters each image's column block back.
+///
+/// **Bit-identical to N single-image calls**, however the batch is
+/// split. Per output element, [`gemm_tiled`] accumulates in
+/// ascending-`k` order with the exact-zero skip on the weight operand,
+/// and neither depends on the column count — appending other images'
+/// columns to the right of the matrix cannot change any element's
+/// addition sequence. The scatter back to per-image layout is a copy,
+/// and the bias add happens last in the same per-element position
+/// either way. On [`KernelTier::Fast`] the per-group GEMM is
+/// [`crate::fast::gemm_fast`], whose per-element FMA chain is equally
+/// independent of the column count; im2col and the bias add are
+/// tier-independent. The kernel property suite asserts both tiers on
+/// both sides of the split.
 ///
 /// `patches` and `gemm_out` are reusable scratch buffers — grown on
 /// demand, never shrunk, zero heap allocation once warm.
@@ -285,16 +290,48 @@ pub fn conv2d_batch_into(
     let (h, w) = (inputs[0].dims()[1], inputs[0].dims()[2]);
     let (oh, ow) = p.out_spatial(h, w);
     let cols = oh * ow;
-    let total = n * cols;
-    let gc_in = p.in_channels / p.groups;
-    let gc_out = p.out_channels / p.groups;
-    let kk = p.kernel * p.kernel;
     for out in outs.iter_mut() {
         assert_eq!(
             out.len(),
             p.out_channels * cols,
             "conv output size mismatch"
         );
+    }
+    let per_gemm = NB.div_ceil(cols);
+    for (ins, outs) in inputs.chunks(per_gemm).zip(outs.chunks_mut(per_gemm)) {
+        conv2d_gemm(tier, ins, weight, p, cols, patches, gemm_out, outs);
+    }
+    if let Some(bvs) = bias {
+        for out in outs.iter_mut() {
+            for (oc, &bv) in bvs.iter().enumerate() {
+                for v in &mut out[oc * cols..(oc + 1) * cols] {
+                    *v += bv;
+                }
+            }
+        }
+    }
+}
+
+/// The bias-free part of [`conv2d_batch_into`] for one GEMM's worth of
+/// images (arguments already checked): im2col over the images, one
+/// GEMM per group, outputs overwritten.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_gemm(
+    tier: KernelTier,
+    inputs: &[&Tensor],
+    weight: &Tensor,
+    p: &Conv2dParams,
+    cols: usize,
+    patches: &mut Vec<f32>,
+    gemm_out: &mut Vec<f32>,
+    outs: &mut [&mut [f32]],
+) {
+    let n = inputs.len();
+    let total = n * cols;
+    let gc_in = p.in_channels / p.groups;
+    let gc_out = p.out_channels / p.groups;
+    let kk = p.kernel * p.kernel;
+    for out in outs.iter_mut() {
         out.fill(0.0);
     }
     let patch_len = gc_in * kk * total;
@@ -335,15 +372,6 @@ pub fn conv2d_batch_into(
             for (b, out) in outs.iter_mut().enumerate() {
                 out[oc_abs * cols..(oc_abs + 1) * cols]
                     .copy_from_slice(&row[b * cols..(b + 1) * cols]);
-            }
-        }
-    }
-    if let Some(bvs) = bias {
-        for out in outs.iter_mut() {
-            for (oc, &bv) in bvs.iter().enumerate() {
-                for v in &mut out[oc * cols..(oc + 1) * cols] {
-                    *v += bv;
-                }
             }
         }
     }

@@ -19,8 +19,9 @@ use crate::KernelTier;
 
 /// Column-block width of [`gemm_tiled`]: `KB·NB` f32 = 128 KiB, sized to
 /// keep one `b` panel resident in a typical L2 cache while the register
-/// tiles stream through L1.
-const NB: usize = 128;
+/// tiles stream through L1. [`crate::conv::conv2d_batch_into`] sizes
+/// its batched GEMMs to about one such block.
+pub(crate) const NB: usize = 128;
 /// Depth-block height of [`gemm_tiled`] (see [`NB`]).
 const KB: usize = 256;
 /// Register-tile width of [`gemm_tiled`]: one row of `c` is accumulated

@@ -17,10 +17,27 @@
 /// assert_eq!(t.at(&[1, 2]), 7.0);
 /// assert_eq!(t.numel(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     dims: Vec<usize>,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self {
+            dims: self.dims.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    /// Takes `source`'s shape and contents, reusing this tensor's buffers:
+    /// no heap allocation once they are at least as large — how one
+    /// scratch tensor serves operands of different shapes.
+    fn clone_from(&mut self, source: &Self) {
+        self.dims.clone_from(&source.dims);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Tensor {

@@ -130,6 +130,49 @@ proptest! {
     }
 
     #[test]
+    fn batch_conv_bitwise_equals_per_image_across_gemm_split(
+        seed in 0u64..10_000,
+        in_c in 1usize..4,
+        out_c in 1usize..5,
+        k in prop::sample::select(vec![1usize, 3]),
+        hw in 1usize..13,
+        around in 0usize..4,
+        grouped in any::<bool>(),
+        fast in any::<bool>(),
+    ) {
+        // `conv2d_batch_into` packs ⌈128 / (oh·ow)⌉ images per GEMM; a
+        // batch one short of, exactly at, and one or two past that split
+        // must reproduce per-image calls bit for bit on either tier.
+        let tier = if fast { KernelTier::Fast } else { KernelTier::Exact };
+        let groups = if grouped { in_c } else { 1 };
+        let out_c = out_c * groups;
+        let p = Conv2dParams::grouped(in_c, out_c, k, 1, k / 2, groups);
+        let (oh, ow) = p.out_spatial(hw, hw);
+        let per_gemm = 128usize.div_ceil(oh * ow);
+        let batch = (per_gemm + around).saturating_sub(1).max(1);
+        let weight = random_tensor(seed ^ 1, &[out_c, in_c / groups, k, k]);
+        let mut rng = SeededRng::new(seed ^ 2);
+        let bias: Vec<f32> = (0..out_c).map(|_| rng.gaussian(0.0, 0.1) as f32).collect();
+        let images: Vec<Tensor> = (0..batch)
+            .map(|b| random_tensor(seed ^ (b as u64 + 3) << 8, &[in_c, hw, hw]))
+            .collect();
+        let refs: Vec<&Tensor> = images.iter().collect();
+        let (mut patches, mut gemm_out) = (Vec::new(), Vec::new());
+        let mut outs = vec![vec![f32::NAN; out_c * oh * ow]; batch];
+        {
+            let mut views: Vec<&mut [f32]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+            conv2d_batch_into(tier, &refs, &weight, Some(&bias), &p, &mut patches, &mut gemm_out, &mut views);
+        }
+        for (b, image) in images.iter().enumerate() {
+            let mut alone = vec![f32::NAN; out_c * oh * ow];
+            conv2d_batch_into(tier, &[image], &weight, Some(&bias), &p, &mut patches, &mut gemm_out, &mut [&mut alone]);
+            let got: Vec<u32> = outs[b].iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = alone.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "image {} of {} ({} per GEMM)", b, batch, per_gemm);
+        }
+    }
+
+    #[test]
     fn max_pool_dominates_avg_pool(
         seed in 0u64..10_000,
         c in 1usize..4,
