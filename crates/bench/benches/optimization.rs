@@ -6,19 +6,19 @@
 //! the Eq. 8 solve (per objective), the σ binary search (both schemes)
 //! and, for contrast, one step of the search-based baseline it replaces.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use mupod_baselines::uniform_search;
 use mupod_bench::setup;
 use mupod_core::{
-    allocate, AccuracyEvaluator, AccuracyMode, AllocateConfig, Objective, ProfileConfig, Profiler,
-    SearchScheme, SigmaSearch,
+    allocate, AccuracyEvaluator, AccuracyMode, AllocateConfig, Objective, Profile, ProfileConfig,
+    Profiler, SearchScheme, SigmaSearch,
 };
 use mupod_models::ModelKind;
 use mupod_nn::inventory::LayerInventory;
 
-fn bench_allocate(c: &mut Criterion) {
-    let s = setup(ModelKind::AlexNet, 8);
-    let layers = ModelKind::AlexNet.analyzable_layers(&s.net);
+fn profile_of(kind: ModelKind) -> Profile {
+    let s = setup(kind, 8);
+    let layers = kind.analyzable_layers(&s.net);
     let profile = Profiler::new(&s.net, s.data.images())
         .with_config(ProfileConfig {
             n_deltas: 8,
@@ -26,16 +26,24 @@ fn bench_allocate(c: &mut Criterion) {
         })
         .profile(&layers)
         .unwrap();
+    profile
+}
+
+fn bench_allocate(c: &mut Criterion) {
+    let alexnet = profile_of(ModelKind::AlexNet);
+    // 54 variables against AlexNet's 5: the solve's per-iteration cost
+    // grows with depth, so the deep network is where it shows.
+    let resnet50 = profile_of(ModelKind::ResNet50);
 
     let mut group = c.benchmark_group("allocate_eq8");
-    for objective in [Objective::Bandwidth, Objective::MacEnergy] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(objective.name()),
-            &objective,
-            |b, objective| {
-                b.iter(|| allocate(&profile, 0.1, objective, &AllocateConfig::default()))
-            },
-        );
+    for (id, profile, objective) in [
+        ("bandwidth", &alexnet, Objective::Bandwidth),
+        ("mac-energy", &alexnet, Objective::MacEnergy),
+        ("resnet50/mac-energy", &resnet50, Objective::MacEnergy),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| allocate(profile, 0.1, &objective, &AllocateConfig::default()))
+        });
     }
     group.finish();
 }

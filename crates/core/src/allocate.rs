@@ -15,7 +15,7 @@
 //! for Octave's `sqp` (DESIGN.md §4).
 
 use crate::profile::Profile;
-use mupod_optim::{ExponentiatedGradient, FnObjective, ProjectedGradient, SimplexObjective};
+use mupod_optim::{ExponentiatedGradient, ProjectedGradient, SimplexObjective, Solution};
 use mupod_quant::{BitwidthAllocation, LayerFormat};
 
 /// The hardware criterion that weights each layer in Eq. 8.
@@ -105,22 +105,66 @@ pub struct AllocationOutcome {
     pub deltas: Vec<f64>,
 }
 
-/// Builds the Eq. 8 objective for a profile, budget and weights.
-fn eq8_objective<'a>(
+/// The Eq. 8 objective for one profile, budget and weighting, with its
+/// closed-form gradient
+/// `∂F/∂ξ_K = −ρ_K · (∂Δ_K/∂ξ_K) / (Δ_K · ln 2)` — O(n) per gradient where
+/// the trait's finite-difference default costs 2n evaluations of F.
+struct Eq8Objective<'a> {
     profile: &'a Profile,
     sigma: f64,
     rho: &'a [f64],
-) -> impl SimplexObjective + 'a {
-    let n = profile.len();
-    FnObjective::new(n, move |xi: &[f64]| {
-        profile
+}
+
+impl SimplexObjective for Eq8Objective<'_> {
+    fn dim(&self) -> usize {
+        self.profile.len()
+    }
+
+    fn value(&self, xi: &[f64]) -> f64 {
+        self.profile
             .layers()
             .iter()
-            .zip(rho)
+            .zip(self.rho)
             .zip(xi)
-            .map(|((lp, &r), &x)| -r * lp.delta_for(sigma, x).log2())
+            .map(|((lp, &r), &x)| -r * lp.delta_for(self.sigma, x).log2())
             .sum()
-    })
+    }
+
+    fn gradient(&self, xi: &[f64]) -> Vec<f64> {
+        self.profile
+            .layers()
+            .iter()
+            .zip(self.rho)
+            .zip(xi)
+            .map(|((lp, &r), &x)| {
+                -r * lp.delta_slope(self.sigma, x)
+                    / (lp.delta_for(self.sigma, x) * std::f64::consts::LN_2)
+            })
+            .collect()
+    }
+}
+
+/// Minimizes `obj` with projected gradient and, if configured, the
+/// exponentiated-gradient cross-check; returns the better optimum.
+fn solve(obj: &impl SimplexObjective, config: &AllocateConfig) -> Solution {
+    let pgd = ProjectedGradient {
+        lower_bound: config.xi_lower_bound,
+        ..Default::default()
+    };
+    let mut best = pgd.minimize(obj);
+    mupod_obs::counter_add("allocate.pgd_iterations", best.iterations as u64);
+    if config.cross_check {
+        let eg = ExponentiatedGradient {
+            lower_bound: config.xi_lower_bound,
+            ..Default::default()
+        };
+        let alt = eg.minimize(obj);
+        mupod_obs::counter_add("allocate.eg_iterations", alt.iterations as u64);
+        if alt.value < best.value {
+            best = alt;
+        }
+    }
+    best
 }
 
 /// Solves Eq. 8 and converts the granted `Δ`s into per-layer formats.
@@ -141,23 +185,12 @@ pub fn allocate(
         "sigma must be positive finite, got {sigma}"
     );
     let rho = objective.rho(profile);
-    let obj = eq8_objective(profile, sigma, &rho);
-
-    let pgd = ProjectedGradient {
-        lower_bound: config.xi_lower_bound,
-        ..Default::default()
+    let obj = Eq8Objective {
+        profile,
+        sigma,
+        rho: &rho,
     };
-    let mut best = pgd.minimize(&obj);
-    if config.cross_check {
-        let eg = ExponentiatedGradient {
-            lower_bound: config.xi_lower_bound,
-            ..Default::default()
-        };
-        let alt = eg.minimize(&obj);
-        if alt.value < best.value {
-            best = alt;
-        }
-    }
+    let best = solve(&obj, config);
 
     let realize = |xi: &[f64]| -> (Vec<f64>, BitwidthAllocation) {
         let deltas: Vec<f64> = profile
@@ -187,12 +220,10 @@ pub fn allocate(
     let cost = allocation.total_weighted_bits(&rho);
     let equal_cost = equal_allocation.total_weighted_bits(&rho);
     if equal_cost < cost {
-        let obj = eq8_objective(profile, sigma, &rho);
-        let value = obj.value(&equal_xi);
         return AllocationOutcome {
             allocation: equal_allocation,
+            objective_value: obj.value(&equal_xi),
             xi: equal_xi,
-            objective_value: value,
             deltas: equal_deltas,
         };
     }
@@ -230,7 +261,12 @@ pub fn allocate_equal(profile: &Profile, sigma: f64) -> AllocationOutcome {
         .map(|(lp, &d)| LayerFormat::from_delta(lp.name.clone(), d, lp.max_abs))
         .collect();
     let rho = vec![1.0; profile.len()];
-    let value = eq8_objective(profile, sigma, &rho).value(&xi);
+    let value = Eq8Objective {
+        profile,
+        sigma,
+        rho: &rho,
+    }
+    .value(&xi);
     AllocationOutcome {
         allocation,
         xi,
@@ -244,6 +280,8 @@ mod tests {
     use super::*;
     use crate::profile::{LayerProfile, Profile};
     use mupod_nn::NodeId;
+    use mupod_optim::{project_to_simplex_lb, FnObjective};
+    use mupod_stats::SeededRng;
 
     /// Hand-built profile: two layers with very different objective
     /// weights and identical error sensitivity.
@@ -267,6 +305,102 @@ mod tests {
             (mk(1, 10, 10), mk(2, 1000, 1000))
         };
         Profile::from_layers(vec![a, b])
+    }
+
+    /// An `n`-layer profile with varied sensitivities and weights. Layer
+    /// 0's fitted `θ` is so negative that its Δ sits on the floor for
+    /// every ξ.
+    fn varied_profile(n: usize) -> Profile {
+        let layers = (0..n)
+            .map(|i| LayerProfile {
+                node: NodeId::from_index_for_tests(i + 1),
+                name: format!("l{i}"),
+                lambda: 0.3 + 0.1 * ((i * 7) % 11) as f64 / 11.0,
+                theta: if i == 0 {
+                    -1.0
+                } else {
+                    1e-3 * ((i * 3) % 5) as f64
+                },
+                r_squared: 1.0,
+                max_relative_error: 0.0,
+                max_abs: 10.0 + i as f64,
+                input_elems: 100 * (1 + (i * 5) % 4) as u64,
+                macs: 1000 * (1 + (i * 3) % 7) as u64,
+                sweep: vec![],
+                fallback: None,
+            })
+            .collect();
+        Profile::from_layers(layers)
+    }
+
+    const OBJECTIVES: [Objective; 3] = [
+        Objective::Bandwidth,
+        Objective::MacEnergy,
+        Objective::Unweighted,
+    ];
+
+    #[test]
+    fn analytic_gradient_matches_finite_differences() {
+        let profile = varied_profile(6);
+        let sigma = 0.5;
+        let mut rng = SeededRng::new(8);
+        for objective in OBJECTIVES {
+            let rho = objective.rho(&profile);
+            let analytic = Eq8Objective {
+                profile: &profile,
+                sigma,
+                rho: &rho,
+            };
+            let oracle = FnObjective::new(profile.len(), |xi: &[f64]| analytic.value(xi));
+            for _ in 0..20 {
+                let mut xi: Vec<f64> = (0..profile.len()).map(|_| rng.unit()).collect();
+                let total: f64 = xi.iter().sum();
+                xi.iter_mut().for_each(|x| *x /= total);
+                project_to_simplex_lb(&mut xi, AllocateConfig::default().xi_lower_bound);
+                let g = analytic.gradient(&xi);
+                let fd = oracle.gradient(&xi);
+                assert_eq!(g[0], 0.0, "floor layer has a flat Δ");
+                for (k, (a, f)) in g.iter().zip(&fd).enumerate() {
+                    assert!(
+                        (a - f).abs() <= 1e-5 * a.abs().max(f.abs()),
+                        "{} ∂F/∂ξ_{k} at {xi:?}: analytic {a}, finite difference {f}",
+                        objective.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analytic_and_finite_difference_solves_agree() {
+        let profile = varied_profile(54);
+        let sigma = 0.5;
+        let config = AllocateConfig::default();
+        for objective in OBJECTIVES {
+            let rho = objective.rho(&profile);
+            let analytic = Eq8Objective {
+                profile: &profile,
+                sigma,
+                rho: &rho,
+            };
+            let oracle = FnObjective::new(profile.len(), |xi: &[f64]| analytic.value(xi));
+            let fast = solve(&analytic, &config);
+            let reference = solve(&oracle, &config);
+            let gap = fast
+                .xi
+                .iter()
+                .zip(&reference.xi)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(gap <= 1e-6, "{}: ξ differs by {gap}", objective.name());
+            assert!(
+                (fast.value - reference.value).abs() <= 1e-9 * reference.value.abs(),
+                "{}: F = {} analytic vs {} finite difference",
+                objective.name(),
+                fast.value,
+                reference.value
+            );
+        }
     }
 
     #[test]

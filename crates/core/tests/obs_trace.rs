@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use mupod_core::{ProfileConfig, Profiler};
+use mupod_core::{allocate, AllocateConfig, Objective, ProfileConfig, Profiler};
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod_nn::Network;
@@ -33,18 +33,24 @@ fn quick(threads: usize) -> ProfileConfig {
     }
 }
 
-/// Runs one seeded profile under a fresh recorder and returns what it
-/// captured.
+/// Runs one seeded profile and one Eq. 8 allocation on it under a fresh
+/// recorder and returns what it captured.
 fn profile_under_recorder(seed: u64, threads: usize) -> (MetricsSnapshot, Vec<TraceEvent>) {
     let (net, data) = setup(seed);
     let layers = ModelKind::AlexNet.analyzable_layers(&net);
     let recorder = Recorder::new(Level::Info).quiet();
     {
         let _guard = recorder.install();
-        Profiler::new(&net, &data.images()[..4])
+        let profile = Profiler::new(&net, &data.images()[..4])
             .with_config(quick(threads))
             .profile(&layers)
             .expect("profile");
+        allocate(
+            &profile,
+            0.1,
+            &Objective::MacEnergy,
+            &AllocateConfig::default(),
+        );
     }
     (recorder.snapshot(), recorder.trace_events())
 }
@@ -126,6 +132,10 @@ fn observability_scenarios() {
     assert!(snap.counters["nn.forward_passes"] > 0);
     assert!(snap.counters["nn.suffix_replays"] > 0);
     assert_eq!(snap.histograms["profile.r_squared"].count, 5);
+    // The solver's iteration counters; the thread-count equality below
+    // covers them too.
+    assert!(snap.counters["allocate.pgd_iterations"] > 0);
+    assert!(snap.counters["allocate.eg_iterations"] > 0);
 
     // --- Counter determinism: identical seeds ⇒ identical counters,
     // histograms and span structure, at any thread count.
