@@ -6,6 +6,12 @@
 //! image's noise stream is forked from the seed by its position, never
 //! by worker schedule — so results are bit-identical for any thread
 //! count, which the test suite asserts.
+//!
+//! The verdict query [`AccuracyEvaluator::uniform_noise_meets`] stops
+//! scoring once more images have missed than its threshold allows. It
+//! scores in rounds of 8, 16, 32, … images, checking the misses only
+//! between rounds, so the set of scored images — and every counter —
+//! depends on the seed and the data alone.
 
 use mupod_data::Dataset;
 use mupod_nn::tap::{
@@ -16,52 +22,96 @@ use mupod_quant::{BitwidthAllocation, FixedPointFormat};
 use mupod_stats::SeededRng;
 use mupod_tensor::Tensor;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `predict` over every image, parallelized over an atomic cursor.
+/// Images in the first round of an evaluation that may stop early;
+/// every later round is twice the one before.
+const FIRST_ROUND: usize = 8;
+
+/// The scoring engine behind every evaluation: predicts `images` in
+/// index order and returns the predictions of the prefix it scored.
 ///
-/// Each worker builds its own state once via `make_state` (an execution
-/// arena plus any tap template) and reuses it across the images it
-/// claims. `predict` must be deterministic given `(state, index, image)`
-/// — index-keyed, not schedule-keyed — so the output is identical for
-/// any `threads`.
-fn predict_all<S: Send>(
+/// It scores rounds of `first_round`, 2·`first_round`, … images and
+/// stops after the first round for which `settled(predictions so far)`
+/// holds; a `first_round` of `images.len()` scores every image in one
+/// round. Each round is split across up to `threads` workers claiming
+/// indices off an atomic cursor, and no worker claims an index past its
+/// round, so the scored prefix never depends on thread count or
+/// scheduling. Each worker builds its state once via `make_state` (an
+/// execution arena plus any tap template) and keeps it across rounds.
+/// `predict` must be deterministic given `(state, index, image)` —
+/// index-keyed, not schedule-keyed — so the output is identical for any
+/// `threads`.
+fn predict_prefix<S: Send, T: Send>(
     images: &[Tensor],
     threads: usize,
+    first_round: usize,
     make_state: impl Fn() -> S + Sync,
-    predict: impl Fn(&mut S, usize, &Tensor) -> usize + Sync,
-) -> Vec<usize> {
+    predict: impl Fn(&mut S, usize, &Tensor) -> T + Sync,
+    settled: impl Fn(&[T]) -> bool,
+) -> Vec<T> {
     let threads = threads.min(images.len()).max(1);
-    if threads <= 1 {
-        let mut state = make_state();
-        return images
-            .iter()
-            .enumerate()
-            .map(|(i, img)| predict(&mut state, i, img))
-            .collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let locals: Vec<Vec<(usize, usize)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let make_state = &make_state;
-            let predict = &predict;
-            handles.push(scope.spawn(move || {
-                let mut state = make_state();
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(img) = images.get(i) else {
-                        break;
-                    };
-                    local.push((i, predict(&mut state, i, img)));
-                }
-                local
-            }));
+    let mut states: Vec<Option<S>> = (0..threads).map(|_| None).collect();
+    let mut out = Vec::with_capacity(images.len());
+    let mut round = first_round.max(1);
+    while out.len() < images.len() {
+        let end = (out.len() + round).min(images.len());
+        predict_round(
+            images,
+            out.len()..end,
+            &mut states,
+            &make_state,
+            &predict,
+            &mut out,
+        );
+        if settled(&out) {
+            break;
         }
+        round *= 2;
+    }
+    out
+}
+
+/// One round of [`predict_prefix`]: predicts `images[range]` on up to
+/// `states.len()` workers and appends the predictions to `out` in index
+/// order. A worker's state is built on its first round.
+fn predict_round<S: Send, T: Send>(
+    images: &[Tensor],
+    range: Range<usize>,
+    states: &mut [Option<S>],
+    make_state: &(impl Fn() -> S + Sync),
+    predict: &(impl Fn(&mut S, usize, &Tensor) -> T + Sync),
+    out: &mut Vec<T>,
+) {
+    let workers = states.len().min(range.len());
+    if let [slot] = &mut states[..workers] {
+        let state = slot.get_or_insert_with(make_state);
+        out.extend(range.map(|i| predict(state, i, &images[i])));
+        return;
+    }
+    let cursor = AtomicUsize::new(range.start);
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = states[..workers]
+            .iter_mut()
+            .map(|slot| {
+                let (cursor, end) = (&cursor, range.end);
+                scope.spawn(move || {
+                    let state = slot.get_or_insert_with(make_state);
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= end {
+                            break local;
+                        }
+                        local.push((i, predict(state, i, &images[i])));
+                    }
+                })
+            })
+            .collect();
         handles
             .into_iter()
-            .map(|h| match h.join() {
+            .flat_map(|h| match h.join() {
                 Ok(local) => local,
                 // Propagate a worker panic (e.g. a failed kernel assert)
                 // instead of swallowing it into a wrong accuracy number.
@@ -69,11 +119,8 @@ fn predict_all<S: Send>(
             })
             .collect()
     });
-    let mut out = vec![0usize; images.len()];
-    for (i, p) in locals.into_iter().flatten() {
-        out[i] = p;
-    }
-    out
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    out.extend(claimed.into_iter().map(|(_, p)| p));
 }
 
 /// What counts as the "correct" label when measuring accuracy.
@@ -91,14 +138,18 @@ pub enum AccuracyMode {
 /// Evaluates a network's accuracy on a dataset under various
 /// perturbations.
 ///
-/// The reference predictions for [`AccuracyMode::FpAgreement`] are
-/// computed once at construction.
+/// The reference predictions for [`AccuracyMode::FpAgreement`] and the
+/// clean logits Scheme 2 perturbs are computed once at construction.
 pub struct AccuracyEvaluator<'a> {
     net: &'a Network,
     dataset: &'a Dataset,
     mode: AccuracyMode,
     /// Per-image target label under the chosen mode.
     targets: Vec<usize>,
+    /// Per-image clean logits from the reference pass, which
+    /// [`AccuracyEvaluator::accuracy_gaussian_output`] perturbs instead
+    /// of running a forward pass.
+    clean_logits: Vec<Tensor>,
     /// Clean accuracy under the chosen mode.
     fp_accuracy: f64,
     /// Worker threads (`0` = machine parallelism). Results are
@@ -120,8 +171,9 @@ impl std::fmt::Debug for AccuracyEvaluator<'_> {
 
 impl<'a> AccuracyEvaluator<'a> {
     /// Builds an evaluator; runs one clean pass per image to establish
-    /// the reference. Uses the machine's available parallelism; see
-    /// [`AccuracyEvaluator::with_threads`] to pin the worker count.
+    /// the reference and keep its logits. Uses the machine's available
+    /// parallelism; see [`AccuracyEvaluator::with_threads`] to pin the
+    /// worker count.
     ///
     /// # Panics
     ///
@@ -168,14 +220,17 @@ impl<'a> AccuracyEvaluator<'a> {
         assert!(!dataset.is_empty(), "evaluation dataset must not be empty");
         let resolved = resolve_threads(threads);
         // The fp-reference pass goes through the same parallel engine as
-        // every accuracy call: one arena per worker, zero allocation per
-        // image once warm.
-        let fp_preds = predict_all(
+        // every accuracy call, in one round: one arena per worker, and no
+        // allocation per image once warm beyond the kept logits.
+        let clean_logits = predict_prefix(
             dataset.images(),
             resolved,
+            dataset.len(),
             || ExecArena::new(net, 1, tier),
-            |arena, _i, img| net.classify_arena(img, arena),
+            |arena, _i, img| tapped_logits(net, img, &mut NoTap, arena).clone(),
+            |_| false,
         );
+        let fp_preds: Vec<usize> = clean_logits.iter().map(Tensor::argmax).collect();
         let (targets, fp_accuracy) = match mode {
             AccuracyMode::GeneratorLabels => {
                 let correct = fp_preds
@@ -195,6 +250,7 @@ impl<'a> AccuracyEvaluator<'a> {
             dataset,
             mode,
             targets,
+            clean_logits,
             fp_accuracy,
             threads,
             tier,
@@ -227,28 +283,63 @@ impl<'a> AccuracyEvaluator<'a> {
         self.dataset.is_empty()
     }
 
-    /// Runs a state-based parallel prediction over the dataset and
-    /// scores it against the targets. `make_state` builds one per-worker
-    /// state (arena + tap template); `predict` must be index-keyed
-    /// deterministic.
+    /// Scores the dataset's predictions against the targets, in index
+    /// order, and returns the misses. Scoring stops after the first
+    /// round in which the misses exceed `max_misses`; the count is then
+    /// only known to exceed it. A `max_misses` of at least
+    /// [`AccuracyEvaluator::len`] scores every image in one round.
+    /// `threads` is the evaluator's knob (`0` = machine parallelism);
+    /// `make_state` builds one per-worker state (arena + tap template);
+    /// `predict` must be index-keyed deterministic.
+    fn misses_within<S: Send>(
+        &self,
+        max_misses: usize,
+        threads: usize,
+        make_state: impl Fn() -> S + Sync,
+        predict: impl Fn(&mut S, usize, &Tensor) -> usize + Sync,
+    ) -> usize {
+        let targets = &self.targets;
+        let misses = |preds: &[usize]| preds.iter().zip(targets).filter(|(p, t)| p != t).count();
+        let first_round = if max_misses < self.len() {
+            FIRST_ROUND
+        } else {
+            self.len()
+        };
+        let preds = predict_prefix(
+            self.dataset.images(),
+            resolve_threads(threads),
+            first_round,
+            make_state,
+            predict,
+            |preds| misses(preds) > max_misses,
+        );
+        mupod_obs::counter_add("eval.images", preds.len() as u64);
+        misses(&preds)
+    }
+
+    /// [`AccuracyEvaluator::misses_within`] over every image, as a
+    /// fraction correct.
     fn fraction_correct_with<S: Send>(
         &self,
         make_state: impl Fn() -> S + Sync,
         predict: impl Fn(&mut S, usize, &Tensor) -> usize + Sync,
     ) -> f64 {
-        mupod_obs::counter_add("eval.images", self.dataset.len() as u64);
-        let preds = predict_all(
-            self.dataset.images(),
-            resolve_threads(self.threads),
-            make_state,
-            predict,
-        );
-        let correct = preds
-            .iter()
-            .zip(&self.targets)
-            .filter(|(p, t)| p == t)
-            .count();
-        correct as f64 / self.dataset.len() as f64
+        self.fraction_correct(self.misses_within(self.len(), self.threads, make_state, predict))
+    }
+
+    /// Accuracy with `misses` of the images wrong.
+    fn fraction_correct(&self, misses: usize) -> f64 {
+        (self.len() - misses) as f64 / self.len() as f64
+    }
+
+    /// The most misses an evaluation may have and still reach
+    /// `threshold`: the largest `m` with `(n − m) / n ≥ threshold`, in
+    /// the same float arithmetic as the accuracy itself. `None` when
+    /// even a perfect score falls short.
+    fn miss_budget(&self, threshold: f64) -> Option<usize> {
+        (0..=self.len())
+            .take_while(|&m| self.fraction_correct(m) >= threshold)
+            .last()
     }
 
     /// Accuracy with uniform noise `U[-Δ_K, Δ_K]` injected into every
@@ -257,8 +348,39 @@ impl<'a> AccuracyEvaluator<'a> {
     /// Each image uses an independent fork of `seed`, so results do not
     /// depend on evaluation order or thread count.
     pub fn accuracy_uniform_noise(&self, deltas: &HashMap<NodeId, f64>, seed: u64) -> f64 {
+        self.fraction_correct(self.uniform_noise_misses(deltas, seed, self.len()))
+    }
+
+    /// Whether [`AccuracyEvaluator::accuracy_uniform_noise`] reaches
+    /// `threshold`: `Some(accuracy)`, bit-identical to it, when
+    /// `accuracy >= threshold`, else `None`. Scoring stops once more
+    /// images have missed than `threshold` allows, so a failing
+    /// candidate usually costs a fraction of the images; which images
+    /// are scored depends only on `deltas`, `seed` and the data. A
+    /// passing evaluation has scored every image.
+    pub fn uniform_noise_meets(
+        &self,
+        deltas: &HashMap<NodeId, f64>,
+        seed: u64,
+        threshold: f64,
+    ) -> Option<f64> {
+        let max_misses = self.miss_budget(threshold)?;
+        let misses = self.uniform_noise_misses(deltas, seed, max_misses);
+        (misses <= max_misses).then(|| self.fraction_correct(misses))
+    }
+
+    /// The misses of [`AccuracyEvaluator::accuracy_uniform_noise`],
+    /// scored as [`AccuracyEvaluator::misses_within`] does.
+    fn uniform_noise_misses(
+        &self,
+        deltas: &HashMap<NodeId, f64>,
+        seed: u64,
+        max_misses: usize,
+    ) -> usize {
         let root = SeededRng::new(seed);
-        self.fraction_correct_with(
+        self.misses_within(
+            max_misses,
+            self.threads,
             || {
                 (
                     ExecArena::new(self.net, 1, self.tier),
@@ -273,18 +395,23 @@ impl<'a> AccuracyEvaluator<'a> {
     }
 
     /// Accuracy with `N(0, σ²)` added to the logits only (Scheme 2's
-    /// test, §V-C).
+    /// test, §V-C). Perturbs the clean logits kept from construction,
+    /// so it runs no forward pass.
     pub fn accuracy_gaussian_output(&self, sigma: f64, seed: u64) -> f64 {
         let root = SeededRng::new(seed);
-        self.fraction_correct_with(
-            || ExecArena::new(self.net, 1, self.tier),
-            |arena, i, img| {
-                let mut logits = tapped_logits(self.net, img, &mut NoTap, arena).clone();
-                let mut rng = root.fork(i as u64);
-                gaussian_output_noise(&mut logits, sigma, &mut rng);
+        // Perturbing kept logits costs microseconds per image, less than
+        // starting a worker thread, so this runs on the caller's thread.
+        let misses = self.misses_within(
+            self.len(),
+            1,
+            || (),
+            |(), i, _img| {
+                let mut logits = self.clean_logits[i].clone();
+                gaussian_output_noise(&mut logits, sigma, &mut root.fork(i as u64));
                 logits.argmax()
             },
-        )
+        );
+        self.fraction_correct(misses)
     }
 
     /// Accuracy with each listed layer's input rounded to its format —
@@ -520,5 +647,34 @@ mod tests {
             ev1.accuracy_quantized_stochastic(&formats, 9).to_bits(),
             ev4.accuracy_quantized_stochastic(&formats, 9).to_bits()
         );
+    }
+
+    /// `Some(acc)` comes back iff the full accuracy reaches the
+    /// threshold, with the same bits, whatever the thread count.
+    #[test]
+    fn verdicts_match_full_accuracy() {
+        let (net, data) = setup();
+        let layers = net.dot_product_layers();
+        let n = data.len() as f64;
+        for threads in [1, 2, 4] {
+            let ev =
+                AccuracyEvaluator::with_threads(&net, &data, AccuracyMode::FpAgreement, threads);
+            for scale in [0.0, 0.02, 0.05, 0.1, 0.3, 1e4] {
+                let deltas: HashMap<NodeId, f64> = layers.iter().map(|&l| (l, scale)).collect();
+                let acc = ev.accuracy_uniform_noise(&deltas, 5);
+                // Exactly k/n at, just above and just below the result.
+                let k = (acc * n).round();
+                let thresholds = [-0.5, 0.0, 0.5, 1.0, 1.5, f64::NAN]
+                    .into_iter()
+                    .chain([k - 1.0, k, k + 1.0].map(|k| k / n));
+                for t in thresholds {
+                    assert_eq!(
+                        ev.uniform_noise_meets(&deltas, 5, t).map(f64::to_bits),
+                        (acc >= t).then_some(acc.to_bits()),
+                        "Δ {scale}, threshold {t}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 }

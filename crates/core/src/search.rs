@@ -12,6 +12,13 @@
 //! * **Scheme 2** (`gaussian_approx`): inject `N(0, σ²)` at the logits
 //!   only — valid because the aggregate output error is very nearly
 //!   normal (Fig. 3, right).
+//!
+//! Only each candidate's pass/fail verdict steers the bracket, so a
+//! Scheme 1 search asks the evaluator for a verdict, which stops
+//! scoring a failing candidate once its misses exceed what the
+//! threshold allows. A passing candidate is still scored on every
+//! image, so the outcome is the one a full evaluation per candidate
+//! would give.
 
 use crate::eval::AccuracyEvaluator;
 use crate::profile::Profile;
@@ -88,15 +95,33 @@ impl SigmaSearch {
     ) -> f64 {
         match self.scheme {
             SearchScheme::EqualScheme => {
-                let l = profile.len() as f64;
-                let deltas: HashMap<NodeId, f64> = profile
-                    .layers()
-                    .iter()
-                    .map(|lp| (lp.node, lp.delta_for(sigma, 1.0 / l)))
-                    .collect();
-                evaluator.accuracy_uniform_noise(&deltas, self.seed)
+                evaluator.accuracy_uniform_noise(&equal_deltas(profile, sigma), self.seed)
             }
             SearchScheme::GaussianApprox => evaluator.accuracy_gaussian_output(sigma, self.seed),
+        }
+    }
+
+    /// The verdict at a candidate `σ`: `Some(accuracy)`, equal to
+    /// [`SigmaSearch::accuracy_at`], when it reaches `threshold`, else
+    /// `None`. A failing Scheme 1 candidate stops being scored once its
+    /// verdict is fixed.
+    fn meets(
+        &self,
+        sigma: f64,
+        profile: &Profile,
+        evaluator: &AccuracyEvaluator<'_>,
+        threshold: f64,
+    ) -> Option<f64> {
+        match self.scheme {
+            SearchScheme::EqualScheme => {
+                evaluator.uniform_noise_meets(&equal_deltas(profile, sigma), self.seed, threshold)
+            }
+            // Scheme 2 perturbs cached logits, so a full evaluation costs
+            // microseconds and stopping early would save nothing.
+            SearchScheme::GaussianApprox => {
+                let acc = evaluator.accuracy_gaussian_output(sigma, self.seed);
+                (acc >= threshold).then_some(acc)
+            }
         }
     }
 
@@ -125,46 +150,44 @@ impl SigmaSearch {
         assert!(!profile.is_empty(), "profile must not be empty");
         let _span = mupod_obs::span("search.sigma");
         let mut evaluations = 0usize;
+        let threshold = target_accuracy - self.slack_images / evaluator.len() as f64;
         let mut eval_at = |sigma: f64| {
             evaluations += 1;
             let _span = mupod_obs::span("search.evaluate");
             mupod_obs::counter_add("search.evaluations", 1);
-            self.accuracy_at(sigma, profile, evaluator)
+            self.meets(sigma, profile, evaluator, threshold)
         };
-        let threshold = target_accuracy - self.slack_images / evaluator.len() as f64;
 
         // Establish a violated upper bound and a satisfying lower bound.
         let mut hi = self.initial_guess;
         let mut lo = 0.0;
         let mut acc_lo = evaluator.fp_accuracy();
-        let mut acc_hi = eval_at(hi);
         let mut doublings = 0;
-        while acc_hi >= threshold && doublings < self.max_doublings {
+        while let Some(acc_hi) = eval_at(hi) {
+            if doublings == self.max_doublings {
+                // Even the largest probed σ satisfies — return it.
+                return SearchOutcome {
+                    sigma: hi,
+                    accuracy_at_sigma: acc_hi,
+                    target_accuracy,
+                    evaluations,
+                };
+            }
             lo = hi;
             acc_lo = acc_hi;
             hi *= 2.0;
-            acc_hi = eval_at(hi);
             doublings += 1;
-        }
-        if acc_hi >= threshold {
-            // Even the largest probed σ satisfies — return it.
-            return SearchOutcome {
-                sigma: hi,
-                accuracy_at_sigma: acc_hi,
-                target_accuracy,
-                evaluations,
-            };
         }
 
         // Bisect until the bracket closes (relative width).
         while hi - lo > self.tolerance * hi {
             let mid = 0.5 * (lo + hi);
-            let acc_mid = eval_at(mid);
-            if acc_mid >= threshold {
-                lo = mid;
-                acc_lo = acc_mid;
-            } else {
-                hi = mid;
+            match eval_at(mid) {
+                Some(acc_mid) => {
+                    lo = mid;
+                    acc_lo = acc_mid;
+                }
+                None => hi = mid,
             }
         }
         SearchOutcome {
@@ -174,6 +197,17 @@ impl SigmaSearch {
             evaluations,
         }
     }
+}
+
+/// Scheme 1's per-layer deltas at `σ`: an equal share `ξ_K = 1/Ł` of
+/// the output variance for every layer (Eq. 7).
+fn equal_deltas(profile: &Profile, sigma: f64) -> HashMap<NodeId, f64> {
+    let l = profile.len() as f64;
+    profile
+        .layers()
+        .iter()
+        .map(|lp| (lp.node, lp.delta_for(sigma, 1.0 / l)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -274,6 +308,91 @@ mod tests {
             tight.sigma,
             loose.sigma
         );
+    }
+
+    /// The search as it was before verdict queries: a full evaluation
+    /// per candidate, compared against the threshold afterwards.
+    fn reference_search(
+        search: &SigmaSearch,
+        profile: &Profile,
+        evaluator: &AccuracyEvaluator<'_>,
+        target_accuracy: f64,
+    ) -> SearchOutcome {
+        let mut evaluations = 0usize;
+        let mut eval_at = |sigma: f64| {
+            evaluations += 1;
+            search.accuracy_at(sigma, profile, evaluator)
+        };
+        let threshold = target_accuracy - search.slack_images / evaluator.len() as f64;
+        let mut hi = search.initial_guess;
+        let mut lo = 0.0;
+        let mut acc_lo = evaluator.fp_accuracy();
+        let mut acc_hi = eval_at(hi);
+        let mut doublings = 0;
+        while acc_hi >= threshold && doublings < search.max_doublings {
+            lo = hi;
+            acc_lo = acc_hi;
+            hi *= 2.0;
+            acc_hi = eval_at(hi);
+            doublings += 1;
+        }
+        if acc_hi >= threshold {
+            return SearchOutcome {
+                sigma: hi,
+                accuracy_at_sigma: acc_hi,
+                target_accuracy,
+                evaluations,
+            };
+        }
+        while hi - lo > search.tolerance * hi {
+            let mid = 0.5 * (lo + hi);
+            let acc_mid = eval_at(mid);
+            if acc_mid >= threshold {
+                lo = mid;
+                acc_lo = acc_mid;
+            } else {
+                hi = mid;
+            }
+        }
+        SearchOutcome {
+            sigma: lo,
+            accuracy_at_sigma: acc_lo,
+            target_accuracy,
+            evaluations,
+        }
+    }
+
+    #[test]
+    fn verdict_search_matches_full_evaluation_search() {
+        let (net, data, profile) = setup();
+        for threads in [1, 3] {
+            let ev =
+                AccuracyEvaluator::with_threads(&net, &data, AccuracyMode::FpAgreement, threads);
+            for scheme in [SearchScheme::EqualScheme, SearchScheme::GaussianApprox] {
+                for (target, max_doublings) in
+                    [(0.5, 24), (0.9, 24), (0.99, 24), (1.0, 24), (0.2, 0)]
+                {
+                    let search = SigmaSearch {
+                        scheme,
+                        max_doublings,
+                        ..Default::default()
+                    };
+                    let got = search.search(&profile, &ev, target);
+                    let want = reference_search(&search, &profile, &ev, target);
+                    assert_eq!(
+                        got.sigma.to_bits(),
+                        want.sigma.to_bits(),
+                        "{scheme:?} {target}"
+                    );
+                    assert_eq!(
+                        got.accuracy_at_sigma.to_bits(),
+                        want.accuracy_at_sigma.to_bits(),
+                        "{scheme:?} {target}"
+                    );
+                    assert_eq!(got, want, "{scheme:?} {target}");
+                }
+            }
+        }
     }
 
     #[test]

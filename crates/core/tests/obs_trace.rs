@@ -8,18 +8,24 @@
 
 use std::sync::Mutex;
 
-use mupod_core::{allocate, AllocateConfig, Objective, ProfileConfig, Profiler};
+use mupod_core::{
+    allocate, AccuracyEvaluator, AccuracyMode, AllocateConfig, Objective, ProfileConfig, Profiler,
+    SigmaSearch,
+};
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod_nn::Network;
 use mupod_obs::{json, Level, MetricsSnapshot, Phase, Recorder, TraceEvent};
+
+/// Images in every scenario's dataset.
+const IMAGES: u64 = 16;
 
 fn setup(seed: u64) -> (Network, Dataset) {
     let scale = ModelScale::tiny();
     let mut net = ModelKind::AlexNet.build(&scale, seed);
     let spec =
         DatasetSpec::new(scale.classes, 3, scale.input_hw, scale.input_hw).with_class_seed(seed);
-    let data = Dataset::generate(&spec, seed ^ 3, 16);
+    let data = Dataset::generate(&spec, seed ^ 3, IMAGES as usize);
     calibrate_head(&mut net, &data, 0.1).unwrap();
     (net, data)
 }
@@ -33,8 +39,8 @@ fn quick(threads: usize) -> ProfileConfig {
     }
 }
 
-/// Runs one seeded profile and one Eq. 8 allocation on it under a fresh
-/// recorder and returns what it captured.
+/// Runs one seeded profile, one Eq. 8 allocation and one Scheme 1
+/// σ-search on it under a fresh recorder and returns what it captured.
 fn profile_under_recorder(seed: u64, threads: usize) -> (MetricsSnapshot, Vec<TraceEvent>) {
     let (net, data) = setup(seed);
     let layers = ModelKind::AlexNet.analyzable_layers(&net);
@@ -51,6 +57,9 @@ fn profile_under_recorder(seed: u64, threads: usize) -> (MetricsSnapshot, Vec<Tr
             &Objective::MacEnergy,
             &AllocateConfig::default(),
         );
+        let evaluator =
+            AccuracyEvaluator::with_threads(&net, &data, AccuracyMode::FpAgreement, threads);
+        SigmaSearch::default().search(&profile, &evaluator, 0.99);
     }
     (recorder.snapshot(), recorder.trace_events())
 }
@@ -136,6 +145,16 @@ fn observability_scenarios() {
     // covers them too.
     assert!(snap.counters["allocate.pgd_iterations"] > 0);
     assert!(snap.counters["allocate.eg_iterations"] > 0);
+    // Failing σ candidates stop scoring once their verdict is fixed, so
+    // the search scores fewer images than a full pass per evaluation;
+    // the thread-count equality below pins which ones.
+    let evaluations = snap.counters["search.evaluations"];
+    assert!(evaluations > 2);
+    assert!(
+        snap.counters["eval.images"] < evaluations * IMAGES,
+        "{} images over {evaluations} evaluations of {IMAGES}",
+        snap.counters["eval.images"]
+    );
 
     // --- Counter determinism: identical seeds ⇒ identical counters,
     // histograms and span structure, at any thread count.
