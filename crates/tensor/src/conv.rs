@@ -1,10 +1,13 @@
 //! Convolution kernels: im2col + GEMM fast path and a direct reference.
 //!
-//! The fast path lowers each convolution to one GEMM per group via
-//! [`im2col`]; [`conv2d_direct`] is a deliberately naive seven-loop
-//! implementation kept for cross-validation in tests and ablation
-//! benchmarks. Grouped convolution covers both AlexNet's two-group layers
-//! and MobileNet's depthwise layers (`groups == in_channels`).
+//! The fast path, [`conv2d_batch_into`], lowers a batch of images to
+//! one im2col patch matrix per channel group — one pass per patch row,
+//! copying only each kernel tap's in-image runs — and multiplies it by
+//! the group's weights with one [`gemm_tiled`]. [`conv2d_direct`] is a
+//! deliberately naive seven-loop implementation kept for
+//! cross-validation in tests and ablation benchmarks. Grouped
+//! convolution covers both AlexNet's two-group layers and MobileNet's
+//! depthwise layers (`groups == in_channels`).
 
 use crate::gemm::{gemm_tiled, NB};
 use crate::{KernelTier, Tensor};
@@ -117,72 +120,74 @@ impl Conv2dParams {
     }
 }
 
-/// Lowers a CHW input into im2col layout for one channel group.
-///
-/// The result is a `(group_in_c · k²) × (oh · ow)` row-major matrix whose
-/// columns are flattened receptive fields.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank 3 or `group` is out of range.
-pub fn im2col(input: &Tensor, params: &Conv2dParams, group: usize) -> Vec<f32> {
-    let (h, w) = (input.dims()[1], input.dims()[2]);
-    let gc = params.in_channels / params.groups;
-    let (oh, ow) = params.out_spatial(h, w);
-    let k = params.kernel;
-    let mut out = vec![0.0f32; gc * k * k * oh * ow];
-    im2col_strided(input, params, group, &mut out, oh * ow, 0);
-    out
+/// Valid output positions `lo..hi` along one axis for kernel tap `t`:
+/// those `o < out` whose input coordinate `o · stride + t − pad` lies in
+/// `0..extent`. The range may be empty (`lo >= hi`).
+fn tap_range(t: usize, pad: usize, stride: usize, extent: usize, out: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(t).div_ceil(stride);
+    let hi = (extent + pad).saturating_sub(t).div_ceil(stride).min(out);
+    (lo, hi)
 }
 
-/// The shared im2col loop nest: writes one image's columns into a row-
-/// major matrix whose rows are `row_stride` wide, starting at column
-/// `col_off`. [`im2col`] uses `row_stride == cols, col_off == 0`;
-/// the batched convolution packs image `b` at `col_off == b · cols` so
-/// the whole batch lowers to one matrix. Only positions inside the
-/// image are written — the caller zero-fills for the padding.
-fn im2col_strided(
-    input: &Tensor,
-    params: &Conv2dParams,
+/// Lowers channel group `group` of a batch of CHW images (arguments
+/// already checked) into one im2col matrix: `(group_in_c · k²)` rows of
+/// `n · oh · ow` columns, image `b`'s flattened receptive fields in
+/// columns `b · oh · ow ..`.
+///
+/// One pass per patch row serves the whole batch: the row's `(ky, kx)`
+/// tap fixes the valid `oy`/`ox` ranges once, and every image copies
+/// only those in-image runs; no element tests whether it lies in the
+/// image. A tap whose rows are contiguous in both the image and the
+/// patch (stride 1, every `ox` valid, `ow == w` — a 1×1 unpadded conv's
+/// whole plane, or a padded conv's centre column) copies as one run.
+/// Cells outside the image are padding: the patch is zero-filled first
+/// when `pad > 0`, and with no padding every cell is written, so no
+/// fill is needed. Every other run is a plain indexed loop: deep
+/// networks' rows are 1–8 elements wide, where a `copy_from_slice` call
+/// per row costs more than the copy.
+fn im2col_batch(
+    inputs: &[&Tensor],
+    p: &Conv2dParams,
     group: usize,
-    out: &mut [f32],
-    row_stride: usize,
-    col_off: usize,
+    (oh, ow): (usize, usize),
+    patch: &mut [f32],
 ) {
-    assert_eq!(input.dims().len(), 3, "im2col expects a CHW tensor");
-    assert!(group < params.groups, "group index out of range");
-    let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-    assert_eq!(c, params.in_channels, "input channel mismatch");
-    let gc = params.in_channels / params.groups;
-    let (oh, ow) = params.out_spatial(h, w);
-    let k = params.kernel;
+    let (h, w) = (inputs[0].dims()[1], inputs[0].dims()[2]);
+    let gc = p.in_channels / p.groups;
+    let (k, stride, pad) = (p.kernel, p.stride, p.pad);
     let cols = oh * ow;
-    assert!(col_off + cols <= row_stride, "column window out of range");
-    assert_eq!(
-        out.len(),
-        gc * k * k * row_stride,
-        "im2col scratch mismatch"
-    );
-    let data = input.data();
-    for gci in 0..gc {
+    let total = inputs.len() * cols;
+    assert_eq!(patch.len(), gc * k * k * total, "im2col scratch mismatch");
+    if pad > 0 {
+        patch.fill(0.0);
+    }
+    for (gci, rows) in patch.chunks_exact_mut(k * k * total).enumerate() {
         let ci = group * gc + gci;
-        let chan = &data[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row_idx = (gci * k + ky) * k + kx;
-                let row = &mut out[row_idx * row_stride + col_off..][..cols];
-                for oy in 0..oh {
-                    let iy = (oy * params.stride + ky) as isize - params.pad as isize;
-                    if iy < 0 || iy >= h as isize {
+        for (ky, rows) in rows.chunks_exact_mut(k * total).enumerate() {
+            let (oy_lo, oy_hi) = tap_range(ky, pad, stride, h, oh);
+            for (kx, row) in rows.chunks_exact_mut(total).enumerate() {
+                let (ox_lo, ox_hi) = tap_range(kx, pad, stride, w, ow);
+                if oy_lo >= oy_hi || ox_lo >= ox_hi {
+                    continue;
+                }
+                let plane = stride == 1 && ox_lo == 0 && ox_hi == ow && ow == w;
+                for (input, dst) in inputs.iter().zip(row.chunks_exact_mut(cols)) {
+                    let chan = &input.data()[ci * h * w..(ci + 1) * h * w];
+                    if plane {
+                        // Stride 1 with every column valid: kx == pad, so
+                        // ix == ox and the valid rows are one run.
+                        let iy_lo = oy_lo + ky - pad;
+                        let len = (oy_hi - oy_lo) * w;
+                        dst[oy_lo * ow..][..len].copy_from_slice(&chan[iy_lo * w..][..len]);
                         continue;
                     }
-                    let src_row = &chan[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * params.stride + kx) as isize - params.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                    for oy in oy_lo..oy_hi {
+                        let iy = oy * stride + ky - pad;
+                        let src = &chan[iy * w..(iy + 1) * w];
+                        let dst = &mut dst[oy * ow..(oy + 1) * ow];
+                        for ox in ox_lo..ox_hi {
+                            dst[ox] = src[ox * stride + kx - pad];
                         }
-                        row[oy * ow + ox] = src_row[ix as usize];
                     }
                 }
             }
@@ -236,14 +241,20 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: Option<&[f32]>, p: &Conv2dP
 /// `[OutC, InC/groups, K, K]`, and `outs[b]` receives image `b`'s CHW
 /// output (`out_channels · oh · ow` elements, fully overwritten).
 ///
+/// **Lowering.** Per group, one pass over the patch rows writes every
+/// image of the GEMM: each `(ky, kx)` tap's valid output range is
+/// computed once and only in-image runs are copied. The patch is
+/// zero-filled for the padding only when `pad > 0`; with no padding
+/// every cell is written.
+///
 /// **GEMM width.** Each GEMM takes `⌈128 / (oh·ow)⌉` images, so its
 /// column count reaches about one 128-wide column block of
 /// [`gemm_tiled`]. Narrow layers (the 4×4 … 1×1 outputs deep in a
-/// network) then fill the register tiles a single image leaves mostly
-/// empty, while wide layers keep one GEMM per image and their im2col
-/// scratch stays one image large. A one-image GEMM accumulates straight
-/// into its output; a wider one stages the product in `gemm_out` and
-/// scatters each image's column block back.
+/// network) then run wide register tiles instead of single columns,
+/// while wide layers keep one GEMM per image and their im2col scratch
+/// stays one image large. A one-image GEMM accumulates straight into
+/// its (zeroed) output; a wider one stages the product in `gemm_out`
+/// and scatters each image's column block back.
 ///
 /// **Bit-identical to N single-image calls**, however the batch is
 /// split. Per output element, [`gemm_tiled`] accumulates in
@@ -299,7 +310,7 @@ pub fn conv2d_batch_into(
     }
     let per_gemm = NB.div_ceil(cols);
     for (ins, outs) in inputs.chunks(per_gemm).zip(outs.chunks_mut(per_gemm)) {
-        conv2d_gemm(tier, ins, weight, p, cols, patches, gemm_out, outs);
+        conv2d_gemm(tier, ins, weight, p, (oh, ow), patches, gemm_out, outs);
     }
     if let Some(bvs) = bias {
         for out in outs.iter_mut() {
@@ -321,19 +332,17 @@ fn conv2d_gemm(
     inputs: &[&Tensor],
     weight: &Tensor,
     p: &Conv2dParams,
-    cols: usize,
+    (oh, ow): (usize, usize),
     patches: &mut Vec<f32>,
     gemm_out: &mut Vec<f32>,
     outs: &mut [&mut [f32]],
 ) {
     let n = inputs.len();
+    let cols = oh * ow;
     let total = n * cols;
     let gc_in = p.in_channels / p.groups;
     let gc_out = p.out_channels / p.groups;
     let kk = p.kernel * p.kernel;
-    for out in outs.iter_mut() {
-        out.fill(0.0);
-    }
     let patch_len = gc_in * kk * total;
     if patches.len() < patch_len {
         patches.resize(patch_len, 0.0);
@@ -344,22 +353,13 @@ fn conv2d_gemm(
     }
     for g in 0..p.groups {
         let patch = &mut patches[..patch_len];
-        patch.fill(0.0);
-        for (b, input) in inputs.iter().enumerate() {
-            im2col_strided(input, p, g, patch, total, b * cols);
-        }
+        im2col_batch(inputs, p, g, (oh, ow), patch);
         let w_group = &weight.data()[g * gc_out * gc_in * kk..(g + 1) * gc_out * gc_in * kk];
         let group_rows = g * gc_out * cols..(g + 1) * gc_out * cols;
         if let [out] = outs {
-            gemm_tiled(
-                tier,
-                gc_out,
-                gc_in * kk,
-                cols,
-                w_group,
-                patch,
-                &mut out[group_rows],
-            );
+            let out = &mut out[group_rows];
+            out.fill(0.0);
+            gemm_tiled(tier, gc_out, gc_in * kk, cols, w_group, patch, out);
             continue;
         }
         let c_buf = &mut gemm_out[..gemm_len];

@@ -7,11 +7,12 @@
 //! * [`gemm`] — the plain scalar `i-k-j` kernel, kept as the
 //!   cross-validation reference.
 //! * [`gemm_tiled`] — the production kernel: cache-blocked over `j` and
-//!   `k` so a `KB×NB` panel of `b` stays resident in L1 while every row
-//!   of `a` streams over it. The blocking only reorders *which* output
+//!   `k` so a `KB×NB` panel of `b` stays resident in cache while every
+//!   row of `a` streams over it, each row of a block in 16-, 8-, 4- and
+//!   1-wide register tiles. The blocking only reorders *which* output
 //!   elements are touched when; for any single `c[i][j]` the additions
-//!   still happen in ascending-`k` order, accumulating directly into the
-//!   output — so the result is **bit-identical** to [`gemm`] (floats
+//!   still happen in ascending-`k` order, starting from its value in
+//!   `c` — so the result is **bit-identical** to [`gemm`] (floats
 //!   reassociate nowhere), which the proptest suite asserts. It takes a
 //!   [`KernelTier`]: `Fast` swaps in [`crate::fast::gemm_fast`].
 
@@ -24,10 +25,9 @@ use crate::KernelTier;
 pub(crate) const NB: usize = 128;
 /// Depth-block height of [`gemm_tiled`] (see [`NB`]).
 const KB: usize = 256;
-/// Register-tile width of [`gemm_tiled`]: one row of `c` is accumulated
-/// in a `[f32; JR]` local (kept in SIMD registers by the autovectorizer)
-/// across a whole `k` block, so `c` traffic drops from once per `k` step
-/// to once per block. Must divide [`NB`].
+/// Widest register tile of [`gemm_tiled`] (see [`register_tile`]); the
+/// ragged tail of a column block runs 8-, 4- and 1-wide tiles. Must
+/// divide [`NB`].
 const JR: usize = 16;
 
 /// Computes `c += a · b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n`,
@@ -94,50 +94,64 @@ pub fn gemm_tiled(
             let kb = KB.min(k - k0);
             for i in 0..m {
                 let a_blk = &a[i * k + k0..i * k + k0 + kb];
-                // Full-width register tiles: accumulate `JR` outputs in a
-                // local array across the whole `k` block, then write back
-                // once. Per output element the additions still run in
-                // ascending-`k` order, so this is bit-identical to the
-                // scalar kernel.
+                let c_row = &mut c[i * n + j0..i * n + j0 + jb];
+                let b_blk = &b[k0 * n + j0..];
+                // Full 16-wide register tiles, then one 8- and one
+                // 4-wide tile and single columns for the ragged tail.
                 let mut jt = 0;
                 while jt + JR <= jb {
-                    let c_off = i * n + j0 + jt;
-                    let mut acc = [0.0f32; JR];
-                    acc.copy_from_slice(&c[c_off..c_off + JR]);
-                    for (dk, &av) in a_blk.iter().enumerate() {
-                        // lint:allow(no-float-eq) reason=sparsity fast path: only exactly-zero operands may skip the inner product without changing the result
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_off = (k0 + dk) * n + j0 + jt;
-                        let b_row = &b[b_off..b_off + JR];
-                        for (av_c, &bv) in acc.iter_mut().zip(b_row) {
-                            *av_c += av * bv;
-                        }
-                    }
-                    c[c_off..c_off + JR].copy_from_slice(&acc);
+                    register_tile::<JR>(a_blk, b_blk, n, jt, c_row);
                     jt += JR;
                 }
-                // Ragged tail narrower than a register tile: plain axpy.
-                if jt < jb {
-                    let c_row = &mut c[i * n + j0 + jt..i * n + j0 + jb];
-                    for (dk, &av) in a_blk.iter().enumerate() {
-                        // lint:allow(no-float-eq) reason=sparsity fast path: only exactly-zero operands may skip the inner product without changing the result
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_off = (k0 + dk) * n + j0 + jt;
-                        let b_row = &b[b_off..b_off + (jb - jt)];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += av * bv;
-                        }
-                    }
+                if jt + 8 <= jb {
+                    register_tile::<8>(a_blk, b_blk, n, jt, c_row);
+                    jt += 8;
+                }
+                if jt + 4 <= jb {
+                    register_tile::<4>(a_blk, b_blk, n, jt, c_row);
+                    jt += 4;
+                }
+                while jt < jb {
+                    register_tile::<1>(a_blk, b_blk, n, jt, c_row);
+                    jt += 1;
                 }
             }
             k0 += kb;
         }
         j0 += jb;
     }
+}
+
+/// One register tile of [`gemm_tiled`]: `c_row[jt..jt + W] += a_blk ·
+/// b_blk[.., jt..jt + W]`, where row `dk` of the `b` block starts at
+/// `dk · n`. The `W` outputs are accumulated in a `[f32; W]` local (kept
+/// in SIMD registers by the autovectorizer) across the whole `k` block
+/// and written back once, so no addition waits on a load and store of
+/// `c`. Per output element the additions still run in ascending-`k`
+/// order with the exact-zero skip on `a`, so the result is
+/// bit-identical to [`gemm`].
+#[inline(always)]
+fn register_tile<const W: usize>(
+    a_blk: &[f32],
+    b_blk: &[f32],
+    n: usize,
+    jt: usize,
+    c_row: &mut [f32],
+) {
+    let c_tile = &mut c_row[jt..jt + W];
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(c_tile);
+    for (dk, &av) in a_blk.iter().enumerate() {
+        // lint:allow(no-float-eq) reason=sparsity fast path: only exactly-zero operands may skip the inner product without changing the result
+        if av == 0.0 {
+            continue;
+        }
+        let b_row = &b_blk[dk * n + jt..dk * n + jt + W];
+        for (av_c, &bv) in acc.iter_mut().zip(b_row) {
+            *av_c += av * bv;
+        }
+    }
+    c_tile.copy_from_slice(&acc);
 }
 
 /// Computes `out = w · x + bias` where `w` is `out_dim×in_dim` row-major.

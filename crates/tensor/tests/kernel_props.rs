@@ -52,15 +52,16 @@ proptest! {
     #[test]
     fn tiled_gemm_bitwise_equals_scalar(
         seed in 0u64..10_000,
-        m in 1usize..8,
+        m in 1usize..65,
         k in 1usize..300,
         n in 1usize..300,
         sparsity in 0.0f64..0.9,
     ) {
         // The tiled kernel must be bit-identical to the scalar reference
-        // for every shape (full blocks, ragged tails, single elements),
-        // sparsity level (the exact-zero skip), and non-zero initial `c`
-        // (GEMM accumulates, it does not overwrite).
+        // for every shape (full blocks, the 8-, 4- and 1-wide tail tiles,
+        // single elements), sparsity level (the exact-zero skip), and
+        // non-zero initial `c` (GEMM accumulates, it does not overwrite)
+        // holding `-0.0`s, which a skipped row must leave as they are.
         let mut rng = SeededRng::new(seed);
         let a: Vec<f32> = (0..m * k)
             .map(|_| {
@@ -72,7 +73,15 @@ proptest! {
             })
             .collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gaussian(0.0, 1.0) as f32).collect();
-        let init: Vec<f32> = (0..m * n).map(|_| rng.gaussian(0.0, 1.0) as f32).collect();
+        let init: Vec<f32> = (0..m * n)
+            .map(|_| {
+                if rng.uniform(0.0, 1.0) < 0.25 {
+                    -0.0
+                } else {
+                    rng.gaussian(0.0, 1.0) as f32
+                }
+            })
+            .collect();
         let mut c_ref = init.clone();
         let mut c_tiled = init;
         gemm(m, k, n, &a, &b, &mut c_ref);

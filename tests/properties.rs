@@ -3,7 +3,135 @@
 use mupod::optim::{is_in_simplex, project_to_simplex_lb, FnObjective, ProjectedGradient};
 use mupod::quant::{effective_bitwidth, FixedPointFormat};
 use mupod::stats::{LinearFit, RunningStats, SeededRng};
+use mupod::tensor::conv::{conv2d_batch_into, Conv2dParams};
+use mupod::tensor::gemm::gemm;
+use mupod::tensor::{KernelTier, Tensor};
 use proptest::prelude::*;
+
+/// Reference im2col: one image's group-`group` patch matrix, written
+/// with a bounds check per element into `out` (`gc · k²` rows of
+/// `oh · ow`, zero-filled by the caller) — a formulation independent of
+/// the library's run-based batched lowering.
+fn im2col_reference(input: &Tensor, p: &Conv2dParams, group: usize, out: &mut [f32]) {
+    let (h, w) = (input.dims()[1], input.dims()[2]);
+    let gc = p.in_channels / p.groups;
+    let (oh, ow) = p.out_spatial(h, w);
+    let k = p.kernel;
+    let cols = oh * ow;
+    let data = input.data();
+    for gci in 0..gc {
+        let ci = group * gc + gci;
+        let chan = &data[ci * h * w..(ci + 1) * h * w];
+        for ky in 0..k {
+            for kx in 0..k {
+                let row_idx = (gci * k + ky) * k + kx;
+                let row = &mut out[row_idx * cols..][..cols];
+                for oy in 0..oh {
+                    let iy = (oy * p.stride + ky) as isize - p.pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let src_row = &chan[iy as usize * w..(iy as usize + 1) * w];
+                    for ox in 0..ow {
+                        let ix = (ox * p.stride + kx) as isize - p.pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        row[oy * ow + ox] = src_row[ix as usize];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reference convolution of one image: [`im2col_reference`] then the
+/// scalar `gemm` per group into a zeroed output, then the bias.
+fn conv_reference(input: &Tensor, weight: &Tensor, bias: &[f32], p: &Conv2dParams) -> Vec<f32> {
+    let (oh, ow) = p.out_spatial(input.dims()[1], input.dims()[2]);
+    let cols = oh * ow;
+    let gc_in = p.in_channels / p.groups;
+    let gc_out = p.out_channels / p.groups;
+    let kk = p.kernel * p.kernel;
+    let mut out = vec![0.0f32; p.out_channels * cols];
+    for g in 0..p.groups {
+        let mut patch = vec![0.0f32; gc_in * kk * cols];
+        im2col_reference(input, p, g, &mut patch);
+        let w_group = &weight.data()[g * gc_out * gc_in * kk..(g + 1) * gc_out * gc_in * kk];
+        let rows = &mut out[g * gc_out * cols..(g + 1) * gc_out * cols];
+        gemm(gc_out, gc_in * kk, cols, w_group, &patch, rows);
+    }
+    for (oc, &bv) in bias.iter().enumerate() {
+        for v in &mut out[oc * cols..(oc + 1) * cols] {
+            *v += bv;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Exact-tier `conv2d_batch_into` is bit-identical to a per-image
+    /// bounds-checked im2col plus the scalar GEMM, for every geometry:
+    /// kernel 1/3/5, stride 1–3, pad 0–3 (pad 0 skips the zero-fill, so
+    /// every patch cell must be written), dense and grouped, batches of
+    /// 1–12, and 1–40 output columns per image so the GEMM's 8-, 4- and
+    /// 1-wide tail tiles all run. The patch and GEMM scratch start
+    /// full of NaN, so any cell the lowering leaves unwritten shows.
+    #[test]
+    fn batched_conv_lowering_bitwise_equals_reference(
+        seed in 0u64..10_000,
+        in_c in 1usize..5,
+        out_mult in 1usize..4,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        stride in 1usize..=3,
+        pad in 0usize..=3,
+        oh_want in 1usize..=5,
+        ow_want in 1usize..=8,
+        slack in 0usize..3,
+        grouped in any::<bool>(),
+        batch in 1usize..=12,
+    ) {
+        let groups = if grouped { in_c } else { 1 };
+        let out_c = out_mult * groups;
+        let p = Conv2dParams::grouped(in_c, out_c, k, stride, pad, groups);
+        // Input sides giving about `oh_want × ow_want` outputs; `slack`
+        // adds rows and columns the last window does not reach.
+        let side = |o: usize| (((o - 1) * stride + k + slack % stride).saturating_sub(2 * pad)).max(1);
+        let (h, w) = (side(oh_want), side(ow_want));
+        let (oh, ow) = p.out_spatial(h, w);
+        let cols = oh * ow;
+        let mut rng = SeededRng::new(seed);
+        let mut draw = |n: usize, zeros: f64| -> Vec<f32> {
+            (0..n)
+                .map(|_| if rng.uniform(0.0, 1.0) < zeros { 0.0 } else { rng.gaussian(0.0, 1.0) as f32 })
+                .collect()
+        };
+        let weight = Tensor::from_vec(&[out_c, in_c / groups, k, k], draw(out_c * in_c / groups * k * k, 0.2));
+        let bias = draw(out_c, 0.0);
+        let images: Vec<Tensor> = (0..batch)
+            .map(|_| Tensor::from_vec(&[in_c, h, w], draw(in_c * h * w, 0.3)))
+            .collect();
+        let refs: Vec<&Tensor> = images.iter().collect();
+        let kk = k * k;
+        let mut patches = vec![f32::NAN; in_c / groups * kk * batch * cols];
+        let mut gemm_out = vec![f32::NAN; out_c / groups * batch * cols];
+        let mut outs_flat = vec![vec![f32::NAN; out_c * cols]; batch];
+        let mut outs: Vec<&mut [f32]> = outs_flat.iter_mut().map(|v| v.as_mut_slice()).collect();
+        conv2d_batch_into(KernelTier::Exact, &refs, &weight, Some(&bias), &p, &mut patches, &mut gemm_out, &mut outs);
+        for (b, (img, got)) in images.iter().zip(&outs_flat).enumerate() {
+            let want = conv_reference(img, &weight, &bias, &p);
+            for (i, (x, y)) in want.iter().zip(got).enumerate() {
+                prop_assert_eq!(
+                    x.to_bits(), y.to_bits(),
+                    "image {} of {}, element {}: {} != reference {} ({:?}, {}x{} input)",
+                    b, batch, i, y, x, p, h, w
+                );
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
