@@ -10,12 +10,11 @@
 //! layer for MAC energy — or any custom weighting ("it is conceivable
 //! that designers can formulate different optimization criteria", §VI-A).
 //!
-//! The solve runs both projected-gradient and exponentiated-gradient
-//! descent and keeps the better optimum — the cross-check standing in
-//! for Octave's `sqp` (DESIGN.md §4).
+//! [`mupod_optim::solve_eq8`] solves it exactly, standing in for
+//! Octave's `sqp` (DESIGN.md §4).
 
 use crate::profile::Profile;
-use mupod_optim::{ExponentiatedGradient, ProjectedGradient, SimplexObjective, Solution};
+use mupod_optim::{solve_eq8, uniform_point, Eq8Term};
 use mupod_quant::{BitwidthAllocation, LayerFormat};
 
 /// The hardware criterion that weights each layer in Eq. 8.
@@ -38,8 +37,8 @@ impl Objective {
     ///
     /// # Panics
     ///
-    /// Panics if a custom weight vector has the wrong length or
-    /// non-positive total weight.
+    /// Panics if a custom weight vector has the wrong length, a negative
+    /// or non-finite weight, or non-positive total weight.
     pub fn rho(&self, profile: &Profile) -> Vec<f64> {
         let rho = match self {
             Objective::Bandwidth => profile
@@ -51,6 +50,10 @@ impl Objective {
             Objective::Unweighted => vec![1.0; profile.len()],
             Objective::Custom(w) => {
                 assert_eq!(w.len(), profile.len(), "custom rho length mismatch");
+                assert!(
+                    w.iter().all(|r| r.is_finite() && *r >= 0.0),
+                    "custom rho weights must be finite and non-negative, got {w:?}"
+                );
                 w.clone()
             }
         };
@@ -78,16 +81,12 @@ pub struct AllocateConfig {
     /// Lower bound on each `ξ_K` (the paper explores `[0.1/Ł, 0.8]`;
     /// a strictly positive floor keeps every `Δ_K` finite).
     pub xi_lower_bound: f64,
-    /// Also run the exponentiated-gradient solver and keep the better
-    /// optimum (cross-validation; costs a second solve).
-    pub cross_check: bool,
 }
 
 impl Default for AllocateConfig {
     fn default() -> Self {
         Self {
             xi_lower_bound: 1e-4,
-            cross_check: true,
         }
     }
 }
@@ -105,66 +104,44 @@ pub struct AllocationOutcome {
     pub deltas: Vec<f64>,
 }
 
-/// The Eq. 8 objective for one profile, budget and weighting, with its
-/// closed-form gradient
-/// `∂F/∂ξ_K = −ρ_K · (∂Δ_K/∂ξ_K) / (Δ_K · ln 2)` — O(n) per gradient where
-/// the trait's finite-difference default costs 2n evaluations of F.
-struct Eq8Objective<'a> {
-    profile: &'a Profile,
-    sigma: f64,
-    rho: &'a [f64],
+/// The objective's weights and the Eq. 8 terms of every profiled layer.
+///
+/// # Panics
+///
+/// Panics if the profile is empty, `sigma` is not positive finite, or
+/// the objective weights are invalid.
+fn eq8_terms(profile: &Profile, sigma: f64, objective: &Objective) -> (Vec<f64>, Vec<Eq8Term>) {
+    assert!(!profile.is_empty(), "profile must not be empty");
+    assert!(
+        sigma.is_finite() && sigma > 0.0,
+        "sigma must be positive finite, got {sigma}"
+    );
+    let rho = objective.rho(profile);
+    let terms = profile
+        .layers()
+        .iter()
+        .zip(&rho)
+        .map(|(lp, &r)| lp.eq8_term(sigma, r))
+        .collect();
+    (rho, terms)
 }
 
-impl SimplexObjective for Eq8Objective<'_> {
-    fn dim(&self) -> usize {
-        self.profile.len()
+/// Realizes error shares `xi` as an [`AllocationOutcome`]: the granted
+/// `Δ`s, their formats and `F(ξ)`.
+fn realize(profile: &Profile, terms: &[Eq8Term], xi: Vec<f64>) -> AllocationOutcome {
+    let deltas: Vec<f64> = terms.iter().zip(&xi).map(|(t, &x)| t.delta(x)).collect();
+    let allocation = profile
+        .layers()
+        .iter()
+        .zip(&deltas)
+        .map(|(lp, &d)| LayerFormat::from_delta(lp.name.clone(), d, lp.max_abs))
+        .collect();
+    AllocationOutcome {
+        allocation,
+        objective_value: terms.iter().zip(&xi).map(|(t, &x)| t.value(x)).sum(),
+        xi,
+        deltas,
     }
-
-    fn value(&self, xi: &[f64]) -> f64 {
-        self.profile
-            .layers()
-            .iter()
-            .zip(self.rho)
-            .zip(xi)
-            .map(|((lp, &r), &x)| -r * lp.delta_for(self.sigma, x).log2())
-            .sum()
-    }
-
-    fn gradient(&self, xi: &[f64]) -> Vec<f64> {
-        self.profile
-            .layers()
-            .iter()
-            .zip(self.rho)
-            .zip(xi)
-            .map(|((lp, &r), &x)| {
-                -r * lp.delta_slope(self.sigma, x)
-                    / (lp.delta_for(self.sigma, x) * std::f64::consts::LN_2)
-            })
-            .collect()
-    }
-}
-
-/// Minimizes `obj` with projected gradient and, if configured, the
-/// exponentiated-gradient cross-check; returns the better optimum.
-fn solve(obj: &impl SimplexObjective, config: &AllocateConfig) -> Solution {
-    let pgd = ProjectedGradient {
-        lower_bound: config.xi_lower_bound,
-        ..Default::default()
-    };
-    let mut best = pgd.minimize(obj);
-    mupod_obs::counter_add("allocate.pgd_iterations", best.iterations as u64);
-    if config.cross_check {
-        let eg = ExponentiatedGradient {
-            lower_bound: config.xi_lower_bound,
-            ..Default::default()
-        };
-        let alt = eg.minimize(obj);
-        mupod_obs::counter_add("allocate.eg_iterations", alt.iterations as u64);
-        if alt.value < best.value {
-            best = alt;
-        }
-    }
-    best
 }
 
 /// Solves Eq. 8 and converts the granted `Δ`s into per-layer formats.
@@ -179,61 +156,19 @@ pub fn allocate(
     objective: &Objective,
     config: &AllocateConfig,
 ) -> AllocationOutcome {
-    assert!(!profile.is_empty(), "profile must not be empty");
-    assert!(
-        sigma.is_finite() && sigma > 0.0,
-        "sigma must be positive finite, got {sigma}"
-    );
-    let rho = objective.rho(profile);
-    let obj = Eq8Objective {
-        profile,
-        sigma,
-        rho: &rho,
-    };
-    let best = solve(&obj, config);
-
-    let realize = |xi: &[f64]| -> (Vec<f64>, BitwidthAllocation) {
-        let deltas: Vec<f64> = profile
-            .layers()
-            .iter()
-            .zip(xi)
-            .map(|(lp, &x)| lp.delta_for(sigma, x))
-            .collect();
-        let allocation: BitwidthAllocation = profile
-            .layers()
-            .iter()
-            .zip(&deltas)
-            .map(|(lp, &d)| LayerFormat::from_delta(lp.name.clone(), d, lp.max_abs))
-            .collect();
-        (deltas, allocation)
-    };
-
-    let (deltas, allocation) = realize(&best.xi);
+    let (rho, terms) = eq8_terms(profile, sigma, objective);
+    let best = realize(profile, &terms, solve_eq8(&terms, config.xi_lower_bound));
 
     // Discreteness guard: Eq. 8 optimizes a continuous proxy, but the
     // realized cost rounds each fraction bitwidth up with a ceiling. On
     // shallow networks the rounded continuous optimum can lose to the
     // plain equal split, which is also feasible (Σξ = 1) — keep whichever
     // realizes cheaper on the actual objective.
-    let equal_xi = vec![1.0 / profile.len() as f64; profile.len()];
-    let (equal_deltas, equal_allocation) = realize(&equal_xi);
-    let cost = allocation.total_weighted_bits(&rho);
-    let equal_cost = equal_allocation.total_weighted_bits(&rho);
-    if equal_cost < cost {
-        return AllocationOutcome {
-            allocation: equal_allocation,
-            objective_value: obj.value(&equal_xi),
-            xi: equal_xi,
-            deltas: equal_deltas,
-        };
+    let equal = realize(profile, &terms, uniform_point(profile.len()));
+    if equal.allocation.total_weighted_bits(&rho) < best.allocation.total_weighted_bits(&rho) {
+        return equal;
     }
-
-    AllocationOutcome {
-        allocation,
-        xi: best.xi,
-        objective_value: best.value,
-        deltas,
-    }
+    best
 }
 
 /// The paper's `equal_scheme` baseline: `ξ_K = 1/Ł` for every layer.
@@ -242,37 +177,8 @@ pub fn allocate(
 ///
 /// Panics if the profile is empty or `sigma` is not positive finite.
 pub fn allocate_equal(profile: &Profile, sigma: f64) -> AllocationOutcome {
-    assert!(!profile.is_empty(), "profile must not be empty");
-    assert!(
-        sigma.is_finite() && sigma > 0.0,
-        "sigma must be positive finite, got {sigma}"
-    );
-    let l = profile.len() as f64;
-    let xi = vec![1.0 / l; profile.len()];
-    let deltas: Vec<f64> = profile
-        .layers()
-        .iter()
-        .map(|lp| lp.delta_for(sigma, 1.0 / l))
-        .collect();
-    let allocation: BitwidthAllocation = profile
-        .layers()
-        .iter()
-        .zip(&deltas)
-        .map(|(lp, &d)| LayerFormat::from_delta(lp.name.clone(), d, lp.max_abs))
-        .collect();
-    let rho = vec![1.0; profile.len()];
-    let value = Eq8Objective {
-        profile,
-        sigma,
-        rho: &rho,
-    }
-    .value(&xi);
-    AllocationOutcome {
-        allocation,
-        xi,
-        objective_value: value,
-        deltas,
-    }
+    let (_, terms) = eq8_terms(profile, sigma, &Objective::Unweighted);
+    realize(profile, &terms, uniform_point(profile.len()))
 }
 
 #[cfg(test)]
@@ -280,8 +186,7 @@ mod tests {
     use super::*;
     use crate::profile::{LayerProfile, Profile};
     use mupod_nn::NodeId;
-    use mupod_optim::{project_to_simplex_lb, FnObjective};
-    use mupod_stats::SeededRng;
+    use mupod_optim::{FnObjective, ProjectedGradient};
 
     /// Hand-built profile: two layers with very different objective
     /// weights and identical error sensitivity.
@@ -340,66 +245,36 @@ mod tests {
     ];
 
     #[test]
-    fn analytic_gradient_matches_finite_differences() {
-        let profile = varied_profile(6);
-        let sigma = 0.5;
-        let mut rng = SeededRng::new(8);
-        for objective in OBJECTIVES {
-            let rho = objective.rho(&profile);
-            let analytic = Eq8Objective {
-                profile: &profile,
-                sigma,
-                rho: &rho,
-            };
-            let oracle = FnObjective::new(profile.len(), |xi: &[f64]| analytic.value(xi));
-            for _ in 0..20 {
-                let mut xi: Vec<f64> = (0..profile.len()).map(|_| rng.unit()).collect();
-                let total: f64 = xi.iter().sum();
-                xi.iter_mut().for_each(|x| *x /= total);
-                project_to_simplex_lb(&mut xi, AllocateConfig::default().xi_lower_bound);
-                let g = analytic.gradient(&xi);
-                let fd = oracle.gradient(&xi);
-                assert_eq!(g[0], 0.0, "floor layer has a flat Δ");
-                for (k, (a, f)) in g.iter().zip(&fd).enumerate() {
-                    assert!(
-                        (a - f).abs() <= 1e-5 * a.abs().max(f.abs()),
-                        "{} ∂F/∂ξ_{k} at {xi:?}: analytic {a}, finite difference {f}",
-                        objective.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_and_finite_difference_solves_agree() {
+    fn closed_form_matches_projected_gradient() {
         let profile = varied_profile(54);
         let sigma = 0.5;
-        let config = AllocateConfig::default();
+        let lb = AllocateConfig::default().xi_lower_bound;
         for objective in OBJECTIVES {
-            let rho = objective.rho(&profile);
-            let analytic = Eq8Objective {
-                profile: &profile,
-                sigma,
-                rho: &rho,
+            let (_, terms) = eq8_terms(&profile, sigma, &objective);
+            let exact = realize(&profile, &terms, solve_eq8(&terms, lb));
+            let oracle = FnObjective::new(profile.len(), |xi: &[f64]| {
+                terms.iter().zip(xi).map(|(t, &x)| t.value(x)).sum()
+            });
+            let pgd = ProjectedGradient {
+                lower_bound: lb,
+                ..Default::default()
+            }
+            .minimize(&oracle);
+            let reference = realize(&profile, &terms, pgd.xi);
+            let formats = |o: &AllocationOutcome| -> Vec<_> {
+                o.allocation.layers().iter().map(|l| l.format).collect()
             };
-            let oracle = FnObjective::new(profile.len(), |xi: &[f64]| analytic.value(xi));
-            let fast = solve(&analytic, &config);
-            let reference = solve(&oracle, &config);
-            let gap = fast
-                .xi
-                .iter()
-                .zip(&reference.xi)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(gap <= 1e-6, "{}: ξ differs by {gap}", objective.name());
+            assert_eq!(formats(&exact), formats(&reference), "{}", objective.name());
             assert!(
-                (fast.value - reference.value).abs() <= 1e-9 * reference.value.abs(),
-                "{}: F = {} analytic vs {} finite difference",
+                exact.objective_value
+                    <= reference.objective_value + 1e-9 * reference.objective_value.abs(),
+                "{}: F = {} closed form vs {} projected gradient",
                 objective.name(),
-                fast.value,
-                reference.value
+                exact.objective_value,
+                reference.objective_value
             );
+            assert!((exact.xi.iter().sum::<f64>() - 1.0).abs() <= 1e-12);
+            assert_eq!(exact.xi[0], lb, "the floor-bound layer stays at lb");
         }
     }
 
@@ -519,6 +394,20 @@ mod tests {
     fn custom_rho_wrong_length_panics() {
         let profile = synthetic_profile(true);
         Objective::Custom(vec![1.0]).rho(&profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn custom_rho_negative_weight_panics() {
+        let profile = synthetic_profile(true);
+        Objective::Custom(vec![-1.0, 2.0]).rho(&profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn custom_rho_infinite_weight_panics() {
+        let profile = synthetic_profile(true);
+        Objective::Custom(vec![f64::INFINITY, 1.0]).rho(&profile);
     }
 
     #[test]

@@ -134,7 +134,6 @@ pub struct PrecisionOptimizer<'a> {
     mode: AccuracyMode,
     profile_config: ProfileConfig,
     profile_images: usize,
-    allocate_config: AllocateConfig,
     reuse_profile: Option<Profile>,
     validate: bool,
     cancel: Option<mupod_runtime::CancelToken>,
@@ -163,7 +162,6 @@ impl<'a> PrecisionOptimizer<'a> {
             mode: AccuracyMode::FpAgreement,
             profile_config: ProfileConfig::default(),
             profile_images: 50,
-            allocate_config: AllocateConfig::default(),
             reuse_profile: None,
             validate: true,
             cancel: None,
@@ -211,12 +209,6 @@ impl<'a> PrecisionOptimizer<'a> {
     /// 50–200 sufficient).
     pub fn profile_images(mut self, n: usize) -> Self {
         self.profile_images = n;
-        self
-    }
-
-    /// Overrides the allocation solve configuration.
-    pub fn allocate_config(mut self, config: AllocateConfig) -> Self {
-        self.allocate_config = config;
         self
     }
 
@@ -328,11 +320,12 @@ impl<'a> PrecisionOptimizer<'a> {
         let slack = 0.02 + 2.0 / evaluator.len() as f64;
         let mut sigma_for_alloc = sigma.sigma.max(1e-6);
         let mut last: Option<(AllocationOutcome, f64)> = None;
+        let config = AllocateConfig::default();
         for attempt in 0..4 {
             self.cancel_checkpoint()?;
             let outcome = {
                 let _span = mupod_obs::span("optimize.allocate");
-                allocate(&profile, sigma_for_alloc, &objective, &self.allocate_config)
+                allocate(&profile, sigma_for_alloc, &objective, &config)
             };
             if !self.validate {
                 return Ok(OptimizeResult {

@@ -19,6 +19,7 @@ use mupod_nn::tap::UniformNoiseTap;
 use mupod_nn::{
     Activations, ExecArena, ExecError, KernelTier, Network, NodeId, Run, ValidateConfig,
 };
+use mupod_optim::Eq8Term;
 use mupod_stats::regression::FitError;
 use mupod_stats::{LinearFit, RunningStats, SeededRng};
 use mupod_tensor::Tensor;
@@ -185,27 +186,19 @@ impl LayerProfile {
     /// grid finer than the arithmetic that will run the network, i.e.
     /// formats no hardware target of this method would instantiate.
     pub fn delta_for(&self, sigma_out: f64, xi: f64) -> f64 {
-        (self.lambda * sigma_out * xi.max(0.0).sqrt() + self.theta).max(self.delta_floor())
+        self.eq8_term(sigma_out, 0.0).delta(xi)
     }
 
-    /// `∂Δ/∂ξ` of [`LayerProfile::delta_for`]: `λ σ / (2√ξ)`, and 0
-    /// where the floor binds (Δ is constant there) or at `ξ ≤ 0`.
-    pub fn delta_slope(&self, sigma_out: f64, xi: f64) -> f64 {
-        if xi <= 0.0 {
-            return 0.0;
+    /// This layer's Eq. 8 term `−ρ · log2 Δ(ξ)` under output budget
+    /// `σ_{Y_Ł}` and objective weight `ρ`, with the layer's Δ floor
+    /// `max(max|X_K| · 2⁻²⁰, 10⁻¹²)`.
+    pub(crate) fn eq8_term(&self, sigma_out: f64, rho: f64) -> Eq8Term {
+        Eq8Term {
+            rho,
+            a: self.lambda * sigma_out,
+            theta: self.theta,
+            floor: (self.max_abs * (-20.0f64).exp2()).max(1e-12),
         }
-        let root = xi.sqrt();
-        if self.lambda * sigma_out * root + self.theta > self.delta_floor() {
-            self.lambda * sigma_out / (2.0 * root)
-        } else {
-            0.0
-        }
-    }
-
-    /// The positive floor `max(max|X_K| · 2⁻²⁰, 10⁻¹²)` shared by
-    /// [`LayerProfile::delta_for`] and [`LayerProfile::delta_slope`].
-    fn delta_floor(&self) -> f64 {
-        (self.max_abs * (-20.0f64).exp2()).max(1e-12)
     }
 }
 
@@ -958,13 +951,9 @@ mod tests {
         };
         // Δ = λ σ √ξ + θ = 2·0.5·√0.25 + 0.1 = 0.6.
         assert!((lp.delta_for(0.5, 0.25) - 0.6).abs() < 1e-12);
-        // ∂Δ/∂ξ = λσ / (2√ξ) = 2·0.5 / (2·0.5) = 1.
-        assert!((lp.delta_slope(0.5, 0.25) - 1.0).abs() < 1e-12);
-        assert_eq!(lp.delta_slope(0.5, 0.0), 0.0);
-        // Clamped at a positive floor, where Δ no longer moves with ξ.
+        // Clamped at a positive floor.
         let neg = LayerProfile { theta: -5.0, ..lp };
         assert!(neg.delta_for(0.1, 0.1) > 0.0);
-        assert_eq!(neg.delta_slope(0.1, 0.1), 0.0);
     }
 
     #[test]

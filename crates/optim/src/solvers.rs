@@ -21,8 +21,9 @@ pub struct Solution {
 ///
 /// Starts at the uniform point (the paper's `equal_scheme`), steps along
 /// the negative gradient, projects back onto the lower-bounded simplex,
-/// and halves the step until sufficient decrease. Converges to the KKT
-/// point of Eq. 8 for the paper's smooth objective.
+/// and halves the step until sufficient decrease. On a smooth convex
+/// objective it converges to the KKT point; it is the test oracle for
+/// [`crate::solve_eq8`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedGradient {
     /// Maximum outer iterations.
@@ -54,18 +55,7 @@ impl ProjectedGradient {
     /// Panics if `obj.dim() == 0` or the lower bound is infeasible for
     /// the dimension.
     pub fn minimize<O: SimplexObjective + ?Sized>(&self, obj: &O) -> Solution {
-        self.minimize_from(obj, &uniform_point(obj.dim()))
-    }
-
-    /// Minimizes `obj` from a caller-supplied starting point (projected
-    /// onto the feasible set first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start.len() != obj.dim()`.
-    pub fn minimize_from<O: SimplexObjective + ?Sized>(&self, obj: &O, start: &[f64]) -> Solution {
-        assert_eq!(start.len(), obj.dim(), "start point dimension mismatch");
-        let mut xi = start.to_vec();
+        let mut xi = uniform_point(obj.dim());
         project_to_simplex_lb(&mut xi, self.lower_bound);
         let mut value = obj.value(&xi);
         let mut converged = false;
@@ -106,96 +96,6 @@ impl ProjectedGradient {
             }
         }
         debug_assert!(is_in_simplex(&xi, self.lower_bound, 1e-6));
-        Solution {
-            xi,
-            value,
-            iterations,
-            converged,
-        }
-    }
-}
-
-/// Exponentiated gradient (multiplicative weights / mirror descent).
-///
-/// Updates `ξ_K ← ξ_K · exp(−η g_K)` and renormalizes; stays strictly
-/// inside the simplex by construction. Used as an independent
-/// cross-check of [`ProjectedGradient`] in place of trusting a single
-/// solver (DESIGN.md §4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentiatedGradient {
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Stop when the iterate moves less than this (∞-norm).
-    pub tol: f64,
-    /// Learning rate.
-    pub eta: f64,
-    /// Floor applied after each update (keeps `ξ_K ≥ lb`).
-    pub lower_bound: f64,
-}
-
-impl Default for ExponentiatedGradient {
-    fn default() -> Self {
-        Self {
-            max_iters: 20_000,
-            tol: 1e-10,
-            eta: 0.05,
-            lower_bound: 1e-6,
-        }
-    }
-}
-
-impl ExponentiatedGradient {
-    /// Minimizes `obj` from the uniform starting point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `obj.dim() == 0`.
-    pub fn minimize<O: SimplexObjective + ?Sized>(&self, obj: &O) -> Solution {
-        let mut xi = uniform_point(obj.dim());
-        let mut converged = false;
-        let mut iterations = 0;
-        for it in 0..self.max_iters {
-            iterations = it + 1;
-            let grad = obj.gradient(&xi);
-            // Center and normalize the gradient: exponentiated updates
-            // explode for steep objectives (Eq. 8's gradient is O(1/√ξ)
-            // near the boundary), so the step is taken on the unit-scaled
-            // gradient direction.
-            let mean_g = grad.iter().sum::<f64>() / grad.len() as f64;
-            let scale = grad.iter().map(|g| (g - mean_g).abs()).fold(0.0, f64::max);
-            // lint:allow(no-float-eq) reason=exact test of a fold over abs values; a gradient that is identically zero means converged, not approximately zero
-            if scale == 0.0 || !scale.is_finite() {
-                // lint:allow(no-float-eq) reason=same exact identically-zero-gradient test as the line above
-                converged = scale == 0.0;
-                break;
-            }
-            // 1/√t step decay gives the standard mirror-descent
-            // convergence guarantee.
-            let eta_t = self.eta / ((it + 1) as f64).sqrt();
-            let mut cand: Vec<f64> = xi
-                .iter()
-                .zip(&grad)
-                .map(|(x, g)| x * (-eta_t * (g - mean_g) / scale).exp())
-                .collect();
-            let sum: f64 = cand.iter().sum();
-            for c in cand.iter_mut() {
-                *c /= sum;
-            }
-            if self.lower_bound > 0.0 {
-                project_to_simplex_lb(&mut cand, self.lower_bound);
-            }
-            let moved = xi
-                .iter()
-                .zip(&cand)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            xi = cand;
-            if moved < self.tol {
-                converged = true;
-                break;
-            }
-        }
-        let value = obj.value(&xi);
         Solution {
             xi,
             value,
@@ -250,52 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn eg_matches_pgd_on_smooth_objective() {
-        let obj = quadratic_to(vec![0.6, 0.25, 0.15]);
-        let a = ProjectedGradient::default().minimize(&obj);
-        let b = ExponentiatedGradient::default().minimize(&obj);
-        for (x, y) in a.xi.iter().zip(&b.xi) {
-            assert!((x - y).abs() < 1e-3, "pgd {:?} vs eg {:?}", a.xi, b.xi);
-        }
-    }
-
-    #[test]
-    fn solvers_agree_on_eq8_shaped_objective() {
-        // F(ξ) = Σ ρ_K · (−log2(λ_K σ √ξ_K + θ_K)): the actual Eq. 8 form.
-        let rho = [5.0, 2.0, 1.0, 3.0];
-        let lam = [0.4, 0.8, 0.2, 0.5];
-        let theta = [0.01, 0.02, 0.005, 0.0];
-        let sigma = 0.5;
-        let obj = FnObjective::new(4, move |xi: &[f64]| {
-            xi.iter()
-                .enumerate()
-                .map(|(k, &x)| {
-                    let delta = lam[k] * sigma * x.max(0.0).sqrt() + theta[k];
-                    -rho[k] * delta.log2()
-                })
-                .sum()
-        });
-        let a = ProjectedGradient::default().minimize(&obj);
-        let b = ExponentiatedGradient::default().minimize(&obj);
-        assert!(a.value.is_finite() && b.value.is_finite());
-        assert!(
-            (a.value - b.value).abs() < 1e-4,
-            "{} vs {}",
-            a.value,
-            b.value
-        );
-        // The heaviest-ρ layer should get the largest share (it profits
-        // most from a coarse Δ).
-        let amax =
-            a.xi.iter()
-                .enumerate()
-                .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
-                .unwrap()
-                .0;
-        assert_eq!(amax, 0, "{:?}", a.xi);
-    }
-
-    #[test]
     fn pgd_respects_lower_bound() {
         let obj = FnObjective::new(3, |xi: &[f64]| xi[0]);
         let pg = ProjectedGradient {
@@ -304,13 +158,6 @@ mod tests {
         };
         let sol = pg.minimize(&obj);
         assert!(sol.xi.iter().all(|&x| x >= 0.05 - 1e-9), "{:?}", sol.xi);
-    }
-
-    #[test]
-    fn minimize_from_projects_start() {
-        let obj = quadratic_to(vec![0.5, 0.5]);
-        let sol = ProjectedGradient::default().minimize_from(&obj, &[10.0, -10.0]);
-        assert!((sol.xi[0] - 0.5).abs() < 1e-5);
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Property tests: the two independent simplex solvers agree, and both
-//! deliver feasible, non-degrading solutions — the cross-validation that
-//! substitutes for Octave's `sqp` (DESIGN.md §4).
+//! Property tests: projected gradient, the oracle the exact Eq. 8 solve
+//! is tested against (DESIGN.md §4), delivers feasible, non-degrading
+//! solutions.
 
-use mupod_optim::{is_in_simplex, ExponentiatedGradient, FnObjective, ProjectedGradient};
+use mupod_optim::{is_in_simplex, FnObjective, ProjectedGradient, SimplexObjective};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// PGD and EG converge to the same value on random smooth convex
-    /// objectives over the simplex.
+    /// PGD lands on the simplex and does no worse than the uniform point
+    /// on random smooth convex objectives.
     #[test]
-    fn solvers_agree_on_random_quadratics(
+    fn pgd_feasible_on_random_quadratics(
         targets in prop::collection::vec(-0.5f64..1.5, 2..7),
         curvatures in prop::collection::vec(0.5f64..4.0, 2..7),
     ) {
@@ -26,23 +26,12 @@ proptest! {
                 .sum()
         });
         let a = ProjectedGradient::default().minimize(&obj);
-        let b = ExponentiatedGradient::default().minimize(&obj);
-        // 1% relative agreement: EG's multiplicative updates converge
-        // slowly when the optimum pins coordinates to the boundary, so
-        // exact agreement is not expected — the allocator takes the
-        // better of the two anyway.
-        prop_assert!(
-            (a.value - b.value).abs() < 1e-2 * (1.0 + a.value.abs()),
-            "pgd {} vs eg {}",
-            a.value,
-            b.value
-        );
+        prop_assert!(a.value <= obj.value(&vec![1.0 / n as f64; n]) + 1e-12);
         prop_assert!(is_in_simplex(&a.xi, 0.0, 1e-5));
-        prop_assert!(is_in_simplex(&b.xi, 0.0, 1e-5));
     }
 
-    /// On Eq. 8-shaped objectives, both solvers respect the lower bound
-    /// and neither exceeds the uniform point's value.
+    /// On Eq. 8-shaped objectives, PGD respects the lower bound and does
+    /// not exceed the uniform point's value.
     #[test]
     fn solvers_feasible_on_eq8_objectives(
         rho in prop::collection::vec(1.0f64..1000.0, 2..10),
@@ -71,5 +60,3 @@ proptest! {
         prop_assert!(sol.value <= uniform_value + 1e-6);
     }
 }
-
-use mupod_optim::SimplexObjective;

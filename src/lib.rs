@@ -19,7 +19,7 @@
 //! | [`quant`] | `mupod-quant` | `I.F` formats, quantizers, allocations |
 //! | [`tensor`] | `mupod-tensor` | tensors, conv/pool/GEMM kernels |
 //! | [`data`] | `mupod-data` | synthetic labelled image generator |
-//! | [`optim`] | `mupod-optim` | simplex solvers (the `sqp` substitute) |
+//! | [`optim`] | `mupod-optim` | exact Eq. 8 solve (the `sqp` substitute), simplex projection, projected gradient |
 //! | [`hw`] | `mupod-hw` | MAC energy, bandwidth, bit-serial models |
 //! | [`baselines`] | `mupod-baselines` | Stripes-style search baselines |
 //! | [`train`] | `mupod-train` | SGD backprop for genuinely trained networks |

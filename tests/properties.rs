@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests (proptest).
 
-use mupod::optim::{is_in_simplex, project_to_simplex_lb, FnObjective, ProjectedGradient};
+use mupod::optim::{
+    is_in_simplex, project_to_simplex_lb, solve_eq8, Eq8Term, FnObjective, ProjectedGradient,
+};
 use mupod::quant::{effective_bitwidth, FixedPointFormat};
 use mupod::stats::{LinearFit, RunningStats, SeededRng};
 use mupod::tensor::conv::{conv2d_batch_into, Conv2dParams};
@@ -201,6 +203,53 @@ proptest! {
         let sol = ProjectedGradient::default().minimize(&obj);
         prop_assert!(sol.value <= uniform_value + 1e-9);
         prop_assert!(is_in_simplex(&sol.xi, 0.0, 1e-6));
+    }
+
+    /// The exact Eq. 8 solve that `allocate` ships is never beaten by
+    /// projected gradient, its oracle, and lands exactly on the
+    /// lower-bounded simplex. The instances mix convex terms, kinked
+    /// terms (the Δ floor binds until ξ = κ above the lower bound, where
+    /// the total share jumps) and zero-weight terms, with weights up to
+    /// the size of `#MAC` counts.
+    #[test]
+    fn closed_form_eq8_no_worse_than_pgd(
+        layers in prop::collection::vec(
+            ((0u32..10, 0.0f64..6.0), 0.05f64..5.0, 0.0f64..1.0, 1e-6f64..0.1),
+            2..16,
+        ),
+    ) {
+        let lb = 1e-4;
+        let terms: Vec<Eq8Term> = layers
+            .iter()
+            .map(|&((kind, log_rho), a, u, floor)| {
+                let rho = 10f64.powf(log_rho);
+                match kind {
+                    0..=2 => {
+                        let kappa = lb + 0.9 * u;
+                        Eq8Term { rho, a, theta: floor - a * kappa.sqrt(), floor }
+                    }
+                    3 => Eq8Term { rho: 0.0, a, theta: 0.05 * u, floor },
+                    _ => Eq8Term { rho, a, theta: 0.05 * u, floor: 1e-12 },
+                }
+            })
+            .collect();
+        let value = |xi: &[f64]| -> f64 { terms.iter().zip(xi).map(|(t, &x)| t.value(x)).sum() };
+        let exact = solve_eq8(&terms, lb);
+        let pgd = ProjectedGradient { lower_bound: lb, ..Default::default() }
+            .minimize(&FnObjective::new(terms.len(), value));
+        // With large weights PGD's point can leave the simplex by ~1e-7;
+        // scale it back so that it is not credited with mass it lacks.
+        let total: f64 = pgd.xi.iter().sum();
+        let f_pgd = value(&pgd.xi.iter().map(|x| x / total).collect::<Vec<_>>());
+        let f = value(&exact);
+        prop_assert!(
+            f <= f_pgd + 1e-9 * f_pgd.abs(),
+            "F = {} closed form vs {} projected gradient",
+            f,
+            f_pgd
+        );
+        prop_assert!((exact.iter().sum::<f64>() - 1.0).abs() <= 1e-14, "{:?}", exact);
+        prop_assert!(exact.iter().all(|&x| x >= lb), "{:?}", exact);
     }
 
     /// Effective bitwidth is a weighted mean: bounded by min/max bits.
