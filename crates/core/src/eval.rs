@@ -13,6 +13,7 @@
 //! between rounds, so the set of scored images — and every counter —
 //! depends on the seed and the data alone.
 
+use crate::par::Pool;
 use mupod_data::Dataset;
 use mupod_nn::tap::{
     gaussian_output_noise, InputTap, NoTap, QuantizeTap, StochasticQuantizeTap, UniformNoiseTap,
@@ -22,8 +23,7 @@ use mupod_quant::{BitwidthAllocation, FixedPointFormat};
 use mupod_stats::SeededRng;
 use mupod_tensor::Tensor;
 use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 /// Images in the first round of an evaluation that may stop early;
 /// every later round is twice the one before.
@@ -35,14 +35,14 @@ const FIRST_ROUND: usize = 8;
 /// It scores rounds of `first_round`, 2·`first_round`, … images and
 /// stops after the first round for which `settled(predictions so far)`
 /// holds; a `first_round` of `images.len()` scores every image in one
-/// round. Each round is split across up to `threads` workers claiming
-/// indices off an atomic cursor, and no worker claims an index past its
-/// round, so the scored prefix never depends on thread count or
-/// scheduling. Each worker builds its state once via `make_state` (an
-/// execution arena plus any tap template) and keeps it across rounds.
-/// `predict` must be deterministic given `(state, index, image)` —
-/// index-keyed, not schedule-keyed — so the output is identical for any
-/// `threads`.
+/// round. Each round runs on a [`Pool`] of `threads` workers (`0` =
+/// machine parallelism), which never claims an index past the round, so
+/// the scored prefix never depends on thread count or scheduling. Each
+/// worker builds its state once via `make_state` (an execution arena
+/// plus any tap template) and keeps it across rounds. `predict` must be
+/// deterministic given `(state, index, image)` — index-keyed, not
+/// schedule-keyed — so the output is identical for any `threads`. A
+/// panic in `predict` propagates to the caller.
 fn predict_prefix<S: Send, T: Send>(
     images: &[Tensor],
     threads: usize,
@@ -51,76 +51,28 @@ fn predict_prefix<S: Send, T: Send>(
     predict: impl Fn(&mut S, usize, &Tensor) -> T + Sync,
     settled: impl Fn(&[T]) -> bool,
 ) -> Vec<T> {
-    let threads = threads.min(images.len()).max(1);
-    let mut states: Vec<Option<S>> = (0..threads).map(|_| None).collect();
+    let mut pool = Pool::new(threads, make_state);
     let mut out = Vec::with_capacity(images.len());
     let mut round = first_round.max(1);
     while out.len() < images.len() {
         let end = (out.len() + round).min(images.len());
-        predict_round(
-            images,
+        let outcome = pool.run(
             out.len()..end,
-            &mut states,
-            &make_state,
-            &predict,
-            &mut out,
+            |state, i| Ok::<_, Infallible>(predict(state, i, &images[i])),
+            |_, prediction| {
+                out.push(prediction);
+                Ok(())
+            },
         );
+        // Surface a worker panic (e.g. a failed kernel assert) instead
+        // of a wrong accuracy number.
+        let Ok(()) = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         if settled(&out) {
             break;
         }
         round *= 2;
     }
     out
-}
-
-/// One round of [`predict_prefix`]: predicts `images[range]` on up to
-/// `states.len()` workers and appends the predictions to `out` in index
-/// order. A worker's state is built on its first round.
-fn predict_round<S: Send, T: Send>(
-    images: &[Tensor],
-    range: Range<usize>,
-    states: &mut [Option<S>],
-    make_state: &(impl Fn() -> S + Sync),
-    predict: &(impl Fn(&mut S, usize, &Tensor) -> T + Sync),
-    out: &mut Vec<T>,
-) {
-    let workers = states.len().min(range.len());
-    if let [slot] = &mut states[..workers] {
-        let state = slot.get_or_insert_with(make_state);
-        out.extend(range.map(|i| predict(state, i, &images[i])));
-        return;
-    }
-    let cursor = AtomicUsize::new(range.start);
-    let mut claimed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states[..workers]
-            .iter_mut()
-            .map(|slot| {
-                let (cursor, end) = (&cursor, range.end);
-                scope.spawn(move || {
-                    let state = slot.get_or_insert_with(make_state);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= end {
-                            break local;
-                        }
-                        local.push((i, predict(state, i, &images[i])));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                // Propagate a worker panic (e.g. a failed kernel assert)
-                // instead of swallowing it into a wrong accuracy number.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    claimed.sort_unstable_by_key(|&(i, _)| i);
-    out.extend(claimed.into_iter().map(|(_, p)| p));
 }
 
 /// What counts as the "correct" label when measuring accuracy.
@@ -218,13 +170,12 @@ impl<'a> AccuracyEvaluator<'a> {
         tier: KernelTier,
     ) -> Self {
         assert!(!dataset.is_empty(), "evaluation dataset must not be empty");
-        let resolved = resolve_threads(threads);
         // The fp-reference pass goes through the same parallel engine as
         // every accuracy call, in one round: one arena per worker, and no
         // allocation per image once warm beyond the kept logits.
         let clean_logits = predict_prefix(
             dataset.images(),
-            resolved,
+            threads,
             dataset.len(),
             || ExecArena::new(net, 1, tier),
             |arena, _i, img| tapped_logits(net, img, &mut NoTap, arena).clone(),
@@ -307,7 +258,7 @@ impl<'a> AccuracyEvaluator<'a> {
         };
         let preds = predict_prefix(
             self.dataset.images(),
-            resolve_threads(threads),
+            threads,
             first_round,
             make_state,
             predict,
@@ -522,16 +473,6 @@ fn tapped_logits<'s>(
         Ok(logits) => logits,
         // lint:allow(no-panic-path) reason=only a validated run can fail and evaluation runs validate nothing; the arm is unreachable by construction
         Err(_) => unreachable!("unvalidated run cannot fail"),
-    }
-}
-
-/// Resolves a `threads` knob (`0` = machine parallelism) to a concrete
-/// worker count.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
     }
 }
 

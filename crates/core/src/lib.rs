@@ -48,6 +48,7 @@ mod allocate;
 mod error;
 mod eval;
 mod optimizer;
+mod par;
 mod profile;
 mod profile_io;
 mod search;

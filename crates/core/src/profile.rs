@@ -14,6 +14,7 @@
 //! register tiles; the statistics come out bit-identical to replaying
 //! one sample at a time.
 
+use crate::par::Pool;
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::tap::UniformNoiseTap;
 use mupod_nn::{
@@ -266,9 +267,8 @@ impl From<ExecError> for ProfileError {
 /// `(image, repeat)` samples replayed together in one batched run.
 pub(crate) const REPLAY_BATCH: usize = 8;
 
-/// The arena every profiling sweep replays on: [`REPLAY_BATCH`] slots on
-/// the configured kernel tier. The plain, journaled and weight profilers
-/// all build theirs here.
+/// The arena each worker of every profiling sweep replays on:
+/// [`REPLAY_BATCH`] slots on the configured kernel tier.
 pub(crate) fn replay_arena(net: &Network, config: &ProfileConfig) -> ExecArena {
     ExecArena::new(net, REPLAY_BATCH, config.kernel_tier)
 }
@@ -484,8 +484,8 @@ pub struct Profiler<'a> {
 
 /// Progress callback: `(layers_done, layers_total, last_layer_name)`.
 ///
-/// Called after each layer completes, from whichever thread finished it —
-/// hence `Send + Sync`. Journal resumes count restored layers as done.
+/// Called after each layer completes, in layer order, on the thread that
+/// called the profiler. Journal resumes count restored layers as done.
 pub type ProgressFn<'a> = Box<dyn Fn(usize, usize, &str) + Send + Sync + 'a>;
 
 impl std::fmt::Debug for Profiler<'_> {
@@ -542,7 +542,7 @@ impl<'a> Profiler<'a> {
     }
 
     /// Polls the cancellation token (no-op without one).
-    pub(crate) fn cancel_checkpoint(&self) -> Result<(), ProfileError> {
+    fn cancel_checkpoint(&self) -> Result<(), ProfileError> {
         match &self.cancel {
             Some(token) => token
                 .checkpoint()
@@ -567,109 +567,62 @@ impl<'a> Profiler<'a> {
             return Err(ProfileError::NoLayers);
         }
         let _sweep_span = mupod_obs::span("profile.sweep");
-        // Clean passes, cached once — validated up front so a poisoned
-        // image or weight set fails fast, before the sweep begins.
-        let (clean, inventory) = self.sweep_inputs(layers)?;
-        let rng = SeededRng::new(self.config.seed);
-
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let total = layers.len();
-        let finish = |li: usize, layer: NodeId, arena: &mut ExecArena| {
-            let r = self.profile_one(li, layer, &clean, &inventory, &rng, arena);
-            if let Ok(p) = &r {
-                let d = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                self.report_progress(d, total, &p.name);
-            }
-            r
-        };
-
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        };
-        let threads = threads.min(layers.len());
-
-        if threads <= 1 {
-            let mut arena = replay_arena(self.net, &self.config);
-            let mut out = Vec::with_capacity(layers.len());
-            for (li, &layer) in layers.iter().enumerate() {
-                out.push(finish(li, layer, &mut arena)?);
-            }
-            return Ok(Profile::from_layers(out));
-        }
-
-        // Layer-parallel profiling: workers claim (index, layer) jobs off
-        // a shared atomic cursor; results are reassembled in layer order.
-        // Determinism holds because each layer's RNG stream depends only
-        // on its index. Each worker owns one reusable execution arena.
-        let next_job = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<Result<(usize, LayerProfile), ProfileError>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for _ in 0..threads {
-                    let next_job = &next_job;
-                    let finish = &finish;
-                    handles.push(scope.spawn(move || {
-                        let mut arena = replay_arena(self.net, &self.config);
-                        let mut local = Vec::new();
-                        loop {
-                            let li = next_job.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&layer) = layers.get(li) else {
-                                break;
-                            };
-                            local.push(finish(li, layer, &mut arena).map(|p| (li, p)));
-                        }
-                        local
-                    }));
-                }
-                let mut collected = Vec::new();
-                for h in handles {
-                    match h.join() {
-                        Ok(local) => collected.extend(local),
-                        Err(_) => collected.push(Err(ProfileError::WorkerPanicked)),
-                    }
-                }
-                collected
-            });
-        let mut slots: Vec<Option<LayerProfile>> = vec![None; layers.len()];
-        for r in results {
-            let (li, profile) = r?;
-            slots[li] = Some(profile);
-        }
+        let all: Vec<usize> = (0..layers.len()).collect();
         let mut out = Vec::with_capacity(layers.len());
-        for s in slots {
-            // A missing slot means a worker died between claiming the job
-            // and reporting it; surface that as the panic it was.
-            out.push(s.ok_or(ProfileError::WorkerPanicked)?);
-        }
+        self.sweep(layers, &all, |_, p| {
+            out.push(p);
+            Ok::<_, ProfileError>(())
+        })?;
         Ok(Profile::from_layers(out))
     }
 
-    /// Computes the clean (validated, if configured) activation cache,
-    /// pruned for replays from `layers`, and the layer inventory — the
-    /// shared setup of every profiling entry point, including the
-    /// journaled one.
-    pub(crate) fn sweep_inputs(
+    /// Profiles the layers at positions `todo` (ascending) of `layers`
+    /// on the configured worker pool and hands each to `commit` in
+    /// position order, reporting progress as the layers of `layers`
+    /// outside `todo` were done already. Stops at the first failure in
+    /// position order, which it returns; a worker panic becomes
+    /// [`ProfileError::WorkerPanicked`]. The clean passes run first, so
+    /// a poisoned image or weight set fails before the sweep begins.
+    pub(crate) fn sweep<E: From<ProfileError> + Send>(
         &self,
         layers: &[NodeId],
-    ) -> Result<(Vec<mupod_nn::Activations>, LayerInventory), ProfileError> {
-        let _span = mupod_obs::span("profile.clean_pass");
+        todo: &[usize],
+        mut commit: impl FnMut(usize, LayerProfile) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let clean_span = mupod_obs::span("profile.clean_pass");
         let clean = clean_passes(
             self.net,
             self.images,
             layers,
             self.config.guard.validate_activations,
-        )?;
+        )
+        .map_err(ProfileError::from)?;
         let inventory = LayerInventory::measure(self.net, self.images.iter().cloned());
-        Ok((clean, inventory))
+        drop(clean_span);
+        let rng = SeededRng::new(self.config.seed);
+        let skipped = layers.len() - todo.len();
+        Pool::new(self.config.threads, || replay_arena(self.net, &self.config))
+            .run(
+                0..todo.len(),
+                |arena, k| {
+                    let li = todo[k];
+                    Ok(self.profile_one(li, layers[li], &clean, &inventory, &rng, arena)?)
+                },
+                |k, p| {
+                    let name = p.name.clone();
+                    commit(todo[k], p)?;
+                    self.report_progress(skipped + k + 1, layers.len(), &name);
+                    Ok(())
+                },
+            )
+            .unwrap_or(Err(ProfileError::WorkerPanicked.into()))
     }
 
     /// Profiles a single layer at its position `li` in the request order
     /// (the position keys the layer's RNG streams, so a layer profiled in
     /// isolation — e.g. during a journal resume — is bit-identical to the
     /// same layer profiled in a full run).
-    pub(crate) fn profile_one(
+    fn profile_one(
         &self,
         li: usize,
         layer: NodeId,
@@ -683,34 +636,9 @@ impl<'a> Profiler<'a> {
             .find(layer)
             .ok_or(ProfileError::NotAnalyzable(layer))?;
         let _span = mupod_obs::span_fields("profile.layer", &[("layer", &info.name)]);
-        let profile = self.profile_layer(layer, clean, info.max_abs, rng, li, arena)?;
-        mupod_obs::counter_add("profile.layers_profiled", 1);
-        mupod_obs::counter_add("profile.deltas_injected", self.config.n_deltas as u64);
-        mupod_obs::histogram_record("profile.r_squared", profile.r_squared);
-        if profile.fallback.is_some() {
-            mupod_obs::counter_add("profile.fallbacks", 1);
-        }
-        Ok(LayerProfile {
-            node: layer,
-            name: info.name.clone(),
-            max_abs: info.max_abs,
-            input_elems: info.input_elems,
-            macs: info.macs,
-            ..profile
-        })
-    }
-
-    fn profile_layer(
-        &self,
-        layer: NodeId,
-        clean: &[mupod_nn::Activations],
-        max_abs: f64,
-        rng: &SeededRng,
-        layer_index: usize,
-        arena: &mut ExecArena,
-    ) -> Result<LayerProfile, ProfileError> {
         let cfg = &self.config;
         let checks = validation(cfg.guard.validate_activations);
+        let max_abs = info.max_abs;
         let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
         let repeats = cfg.repeats.max(1);
         // Sample `t` is image `t / repeats`, repeat `t % repeats`: the
@@ -738,7 +666,7 @@ impl<'a> Profiler<'a> {
                 tap.set_streams(
                     batch
                         .clone()
-                        .map(|t| rng.fork(sample_stream(layer_index, j, t % repeats, t / repeats))),
+                        .map(|t| rng.fork(sample_stream(li, j, t % repeats, t / repeats))),
                 );
                 // Both paths run on the per-worker arena: zero heap
                 // allocation per replay, and suffix replay is
@@ -765,21 +693,26 @@ impl<'a> Profiler<'a> {
             sigmas.push(stats.population_std());
             deltas.push(delta);
         }
-        let name = self.net.node(layer).name.clone();
         let fit = {
             let _span = mupod_obs::span("profile.fit");
-            fit_sweep_guarded(&name, &sigmas, &deltas, &cfg.guard)?
+            fit_sweep_guarded(&info.name, &sigmas, &deltas, &cfg.guard)?
         };
+        mupod_obs::counter_add("profile.layers_profiled", 1);
+        mupod_obs::counter_add("profile.deltas_injected", cfg.n_deltas as u64);
+        mupod_obs::histogram_record("profile.r_squared", fit.r_squared);
+        if fit.fallback.is_some() {
+            mupod_obs::counter_add("profile.fallbacks", 1);
+        }
         Ok(LayerProfile {
             node: layer,
-            name,
+            name: info.name.clone(),
             lambda: fit.lambda,
             theta: fit.theta,
             r_squared: fit.r_squared,
             max_relative_error: fit.max_relative_error,
             max_abs,
-            input_elems: 0,
-            macs: 0,
+            input_elems: info.input_elems,
+            macs: info.macs,
             sweep: sigmas.into_iter().zip(deltas).collect(),
             fallback: fit.fallback,
         })
@@ -1116,5 +1049,48 @@ mod tests {
             .profile(&[NodeId::from_index_for_tests(0)])
             .unwrap_err();
         assert!(matches!(err, ProfileError::NotAnalyzable(_)), "{err:?}");
+
+        // Two non-analyzable nodes between real layers: the lower one's
+        // error wins at every thread count, and a journaled run keeps
+        // exactly the layers before it.
+        let real = ModelKind::AlexNet.analyzable_layers(&net);
+        let pool = (1..net.node_count())
+            .map(NodeId::from_index_for_tests)
+            .find(|id| !real.contains(id))
+            .expect("AlexNet has a non-dot-product node");
+        let input = NodeId::from_index_for_tests(0);
+        let layers = [real[0], input, real[1], pool, real[2]];
+        let cfg = ProfileConfig {
+            n_deltas: 4,
+            ..Default::default()
+        };
+        for threads in [1, 2, 4] {
+            let profiler =
+                Profiler::new(&net, &images[..2]).with_config(ProfileConfig { threads, ..cfg });
+            let err = profiler.profile(&layers).unwrap_err();
+            assert_eq!(err, ProfileError::NotAnalyzable(input), "{threads} threads");
+
+            let path = std::env::temp_dir().join(format!(
+                "mupod_non_analyzable_{}_{threads}.journal",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let err = profiler.profile_journaled(&layers, &path).unwrap_err();
+            let journal = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                matches!(
+                    err,
+                    crate::CoreError::Profile(ProfileError::NotAnalyzable(id)) if id == input
+                ),
+                "{err:?}, {threads} threads"
+            );
+            let records: Vec<&str> = journal
+                .lines()
+                .skip(1)
+                .map(|line| line.split(' ').nth(1).unwrap())
+                .collect();
+            assert_eq!(records, ["0"], "{threads} threads");
+        }
     }
 }

@@ -39,7 +39,6 @@
 use crate::profile::{FallbackReason, LayerProfile, Profile, ProfileError, Profiler};
 use mupod_nn::NodeId;
 use mupod_stats::regression::FitError;
-use mupod_stats::SeededRng;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -524,11 +523,8 @@ impl<'a> Profiler<'a> {
             }
         }
 
-        let remaining: Vec<(usize, NodeId)> = layers
-            .iter()
-            .enumerate()
-            .filter(|(li, _)| !done.contains_key(li))
-            .map(|(li, &l)| (li, l))
+        let remaining: Vec<usize> = (0..layers.len())
+            .filter(|li| !done.contains_key(li))
             .collect();
 
         // Rewrite the file when starting fresh or when a partial trailing
@@ -537,7 +533,7 @@ impl<'a> Profiler<'a> {
         // writer so a crash mid-rewrite can never lose the old journal —
         // the per-record checksums (not a whole-file footer) remain the
         // integrity mechanism because the file is append-mostly.
-        let mut file = if resumed == 0 || dropped_partial {
+        if resumed == 0 || dropped_partial {
             let mut contents = journal_header(&fp);
             contents.push('\n');
             for (li, l) in &done {
@@ -546,136 +542,30 @@ impl<'a> Profiler<'a> {
             }
             mupod_runtime::artifact::write_atomic_unsealed(path, contents.as_bytes())
                 .map_err(|e| JournalError::Io(e.into_io()))?;
-            std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(JournalError::Io)?
-        } else {
-            std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(JournalError::Io)?
-        };
-
-        let computed = remaining.len();
-        if !remaining.is_empty() {
-            let (clean, inventory) = self.sweep_inputs(layers)?;
-            let rng = SeededRng::new(self.config.seed);
-            // Sequential commit order keeps the journal deterministic;
-            // computation itself still parallelizes below.
-            let threads = if self.config.threads == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                self.config.threads
-            };
-            let threads = threads.min(remaining.len());
-            let computed_profiles: Vec<(usize, LayerProfile)> = if threads <= 1 {
-                let mut arena = crate::profile::replay_arena(self.net, &self.config);
-                let mut out = Vec::with_capacity(remaining.len());
-                for &(li, layer) in &remaining {
-                    let p = self.profile_one(li, layer, &clean, &inventory, &rng, &mut arena)?;
-                    append_record(&mut file, li, &p)?;
-                    self.report_progress(resumed + out.len() + 1, layers.len(), &p.name);
-                    out.push((li, p));
-                }
-                out
-            } else {
-                self.profile_parallel_journaled(
-                    &remaining,
-                    threads,
-                    &clean,
-                    &inventory,
-                    &rng,
-                    &mut file,
-                    resumed,
-                    layers.len(),
-                )?
-            };
-            for (li, p) in computed_profiles {
-                done.insert(li, p);
-            }
         }
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(JournalError::Io)?;
 
-        let mut out = Vec::with_capacity(layers.len());
-        for li in 0..layers.len() {
-            out.push(done.remove(&li).ok_or(ProfileError::WorkerPanicked)?);
+        // Layers commit in request order, so the journal's contents are
+        // deterministic and a failed run leaves exactly the records
+        // before its first failing layer.
+        if !remaining.is_empty() {
+            self.sweep(layers, &remaining, |li, p| {
+                append_record(&mut file, li, &p)?;
+                done.insert(li, p);
+                Ok::<_, crate::CoreError>(())
+            })?;
         }
         Ok((
-            Profile::from_layers(out),
+            Profile::from_layers(done.into_values().collect()),
             JournalSummary {
                 resumed,
-                computed,
+                computed: remaining.len(),
                 dropped_partial_record: dropped_partial,
             },
         ))
-    }
-
-    /// Parallel per-layer profiling with *ordered commit*: workers claim
-    /// jobs off an atomic cursor, results stream back over a channel, and
-    /// the journal is appended strictly in request order so its contents
-    /// stay deterministic (and resumable prefixes stay meaningful).
-    /// `resumed`/`total` feed the progress callback, which fires in
-    /// commit order.
-    #[allow(clippy::too_many_arguments)]
-    fn profile_parallel_journaled(
-        &self,
-        jobs: &[(usize, NodeId)],
-        threads: usize,
-        clean: &[mupod_nn::Activations],
-        inventory: &mupod_nn::inventory::LayerInventory,
-        rng: &SeededRng,
-        file: &mut std::fs::File,
-        resumed: usize,
-        total: usize,
-    ) -> Result<Vec<(usize, LayerProfile)>, crate::CoreError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::mpsc;
-
-        let next_job = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<LayerProfile, ProfileError>)>();
-        std::thread::scope(
-            |scope| -> Result<Vec<(usize, LayerProfile)>, crate::CoreError> {
-                for _ in 0..threads {
-                    let tx = tx.clone();
-                    let next_job = &next_job;
-                    scope.spawn(move || {
-                        let mut arena = crate::profile::replay_arena(self.net, &self.config);
-                        loop {
-                            let pos = next_job.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(li, layer)) = jobs.get(pos) else {
-                                break;
-                            };
-                            let res =
-                                self.profile_one(li, layer, clean, inventory, rng, &mut arena);
-                            // A send failure means the committer bailed on
-                            // an earlier error; just stop working.
-                            if tx.send((pos, res)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-
-                let mut buffer: BTreeMap<usize, LayerProfile> = BTreeMap::new();
-                let mut committed = Vec::with_capacity(jobs.len());
-                let mut next_commit = 0usize;
-                for (pos, res) in rx {
-                    buffer.insert(pos, res?);
-                    while let Some(p) = buffer.remove(&next_commit) {
-                        let li = jobs[next_commit].0;
-                        append_record(file, li, &p)?;
-                        self.report_progress(resumed + committed.len() + 1, total, &p.name);
-                        committed.push((li, p));
-                        next_commit += 1;
-                    }
-                }
-                if committed.len() != jobs.len() {
-                    return Err(ProfileError::WorkerPanicked.into());
-                }
-                Ok(committed)
-            },
-        )
     }
 }
 

@@ -19,18 +19,20 @@
 //! weights invalidates the layer itself, so each probe clones the network
 //! with that layer perturbed and replays the suffix from the clean
 //! activation caches, [`REPLAY_BATCH`] images per batched run, through
-//! one reused execution arena.
+//! one reused execution arena per worker. Layers run in parallel on
+//! `ProfileConfig::threads` workers, as in the input profiler.
 //! Note that one weight perturbation is *shared* by all images (as real
 //! rounding would be), so `ProfileConfig::repeats` is the effective
 //! sample count of each σ estimate — use ≥ 8 repeats here where the
 //! input profiler is happy with 2.
 
+use crate::par::Pool;
 use crate::profile::{
     clean_passes, fit_sweep_guarded, replay_arena, validation, LayerProfile, Profile,
     ProfileConfig, ProfileError, REPLAY_BATCH,
 };
 use mupod_nn::inventory::LayerInventory;
-use mupod_nn::{Network, NodeId, Op, Run};
+use mupod_nn::{ExecArena, Network, NodeId, Op, Run};
 use mupod_stats::{RunningStats, SeededRng};
 use mupod_tensor::Tensor;
 
@@ -75,14 +77,13 @@ pub fn profile_weights(
     let clean = clean_passes(net, images, layers, config.guard.validate_activations)?;
     let clean: Vec<_> = clean.iter().collect();
     let checks = validation(config.guard.validate_activations);
-    // Every perturbed clone shares `net`'s shapes, so one arena serves
-    // all replays.
-    let mut arena = replay_arena(net, config);
     let inventory = LayerInventory::measure(net, images.iter().cloned());
     let rng = SeededRng::new(config.seed ^ 0x77EE);
 
-    let mut out = Vec::with_capacity(layers.len());
-    for (li, &layer) in layers.iter().enumerate() {
+    // Every perturbed clone shares `net`'s shapes, so one arena per
+    // worker serves all its replays.
+    let profile_layer = |arena: &mut ExecArena, li: usize| {
+        let layer = layers[li];
         let (w_max, w_count) =
             weight_stats(net, layer).ok_or(ProfileError::NotAnalyzable(layer))?;
         let scale = if w_max > 0.0 { w_max } else { 1.0 };
@@ -101,7 +102,7 @@ pub fn profile_weights(
                 let mut noise_rng = rng.fork(stream);
                 let noisy = net.with_perturbed_weights(layer, delta, &mut noise_rng);
                 for bases in clean.chunks(REPLAY_BATCH) {
-                    noisy.run(Run::suffix(bases, layer).validate(checks), &mut arena)?;
+                    noisy.run(Run::suffix(bases, layer).validate(checks), arena)?;
                     for (slot, base) in bases.iter().enumerate() {
                         let out_t = net.output(arena.activations(slot));
                         let ref_out = net.output(base);
@@ -119,7 +120,7 @@ pub fn profile_weights(
         let info = inventory
             .find(layer)
             .ok_or(ProfileError::NotAnalyzable(layer))?;
-        out.push(LayerProfile {
+        Ok(LayerProfile {
             node: layer,
             name,
             lambda: fit.lambda,
@@ -131,8 +132,15 @@ pub fn profile_weights(
             macs: info.macs,
             sweep: sigmas.into_iter().zip(deltas).collect(),
             fallback: fit.fallback,
-        });
-    }
+        })
+    };
+    let mut out = Vec::with_capacity(layers.len());
+    Pool::new(config.threads, || replay_arena(net, config))
+        .run(0..layers.len(), profile_layer, |_, p| {
+            out.push(p);
+            Ok(())
+        })
+        .unwrap_or(Err(ProfileError::WorkerPanicked))?;
     Ok(Profile::from_layers(out))
 }
 
@@ -208,6 +216,22 @@ mod tests {
             assert!(lf.format.int_bits() <= 4, "{:?}", lf.format);
             assert!(lf.bits() >= 1);
         }
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_profile() {
+        let (net, data) = setup();
+        let layers = &ModelKind::Nin.analyzable_layers(&net)[..4];
+        let profile = |threads| {
+            let config = ProfileConfig {
+                n_deltas: 4,
+                repeats: 2,
+                threads,
+                ..Default::default()
+            };
+            profile_weights(&net, &data.images()[..4], layers, &config).unwrap()
+        };
+        assert_eq!(profile(1), profile(3));
     }
 
     #[test]

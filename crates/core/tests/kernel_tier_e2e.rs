@@ -107,8 +107,7 @@ fn journaled_profile_runs_on_the_configured_tier() {
         plain(KernelTier::Exact),
         "the tiers must differ for this check to mean anything"
     );
-    // The sequential and the parallel journaled paths build their own
-    // arenas; both must honour the tier.
+    // The journaled sweep must honour the tier at any thread count.
     for threads in [1, 2] {
         let path = std::env::temp_dir().join(format!(
             "mupod_tier_journal_{}_{threads}.journal",

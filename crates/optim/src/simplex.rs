@@ -67,6 +67,16 @@ pub fn project_to_simplex_lb(v: &mut [f64], lb: f64) {
         for x in y.iter_mut() {
             *x = (*x - theta).max(0.0);
         }
+        // With huge inputs, `x − θ` cancels and the kept coordinates
+        // can miss `mass` by far more than rounding; rescaling them
+        // restores Σ = `mass` without moving any coordinate below 0.
+        let kept: f64 = y.iter().sum();
+        if kept > 0.0 {
+            let scale = mass / kept;
+            for x in y.iter_mut() {
+                *x *= scale;
+            }
+        }
     }
     for (out, yi) in v.iter_mut().zip(&y) {
         *out = yi + lb;
@@ -115,6 +125,21 @@ mod tests {
             project_to_simplex(&mut v);
             assert!(is_in_simplex(&v, 0.0, 1e-9), "not on simplex: {v:?}");
         }
+    }
+
+    #[test]
+    fn projection_of_huge_values_lands_on_simplex() {
+        // Pre-projection points of a gradient step with Eq. 8 weights
+        // near 1e6: `x − θ` cancels in every kept coordinate.
+        let mut v: Vec<f64> = (0..16)
+            .map(|i| 8.0e5 * (1.0 + 0.37 * i as f64).sin() + 0.013 * i as f64)
+            .collect();
+        project_to_simplex_lb(&mut v, 1e-4);
+        assert!(
+            is_in_simplex(&v, 1e-4, 1e-12),
+            "Σ = {}",
+            v.iter().sum::<f64>()
+        );
     }
 
     #[test]

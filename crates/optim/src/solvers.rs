@@ -95,7 +95,7 @@ impl ProjectedGradient {
                 break;
             }
         }
-        debug_assert!(is_in_simplex(&xi, self.lower_bound, 1e-6));
+        debug_assert!(is_in_simplex(&xi, self.lower_bound, 1e-12));
         Solution {
             xi,
             value,
