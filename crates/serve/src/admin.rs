@@ -25,8 +25,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::server::{ServeConfig, Shared, POLL};
-use crate::telemetry;
+use mupod_obs::FlightRecorder;
+
+use crate::listen::{self, POLL};
 
 /// Largest admin request we buffer before answering 400.
 const MAX_REQUEST_BYTES: usize = 4096;
@@ -39,49 +40,40 @@ pub(crate) type AdminResponse = (u16, &'static str, Vec<u8>);
 /// Generic accept loop for an admin-style HTTP plane: accepts until
 /// `stop` turns true, serving each connection on its own scoped
 /// thread. `respond` maps a request path to an [`AdminResponse`]
-/// (`None` → 404). The scope joins every handler before returning;
-/// each is bounded by [`READ_TIMEOUT`], so the join is too. The
-/// listener must already be nonblocking.
+/// (`None` → 404). Every handler is bounded by [`READ_TIMEOUT`], so
+/// the final join is too. The listener must already be nonblocking.
 pub(crate) fn run_admin(
     listener: &TcpListener,
-    stop: &(dyn Fn() -> bool + Sync),
+    stop: &dyn Fn() -> bool,
     respond: &(dyn Fn(&str) -> Option<AdminResponse> + Sync),
 ) {
-    std::thread::scope(|s| loop {
-        if stop() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                mupod_obs::counter_add("serve.admin_requests", 1);
-                s.spawn(move || handle_admin(stream, respond));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    });
+    listen::accept_loop(
+        listener,
+        stop,
+        &|| {},
+        "serve.admin_requests",
+        "serve.admin_accept_error",
+        &|stream| handle_admin(stream, respond),
+    );
 }
 
-/// Accept loop for the serving node's admin listener (`/metrics`,
-/// `/health`, `/flight`); exits when the server drains.
-pub(crate) fn admin_loop(listener: &TcpListener, cfg: &ServeConfig, shared: &Shared) {
-    run_admin(listener, &|| shared.is_draining(), &|path| match path {
-        "/metrics" => Some((
-            200,
-            "text/plain; version=0.0.4",
-            telemetry::render_metrics(cfg, shared).into_bytes(),
-        )),
+/// The admin plane of a shard or a router: `/metrics` and `/health`
+/// from the server's renderers, `/flight` from its recorder; exits
+/// when `draining()` holds.
+pub(crate) fn admin_loop(
+    listener: &TcpListener,
+    draining: &dyn Fn() -> bool,
+    metrics: &(dyn Fn() -> String + Sync),
+    health: &(dyn Fn() -> (u16, String) + Sync),
+    flight: &FlightRecorder,
+) {
+    run_admin(listener, draining, &|path| match path {
+        "/metrics" => Some((200, "text/plain; version=0.0.4", metrics().into_bytes())),
         "/health" => {
-            let (code, body) = telemetry::render_health(cfg, shared);
+            let (code, body) = health();
             Some((code, "application/json", body.into_bytes()))
         }
-        "/flight" => Some((
-            200,
-            "application/json",
-            shared.telemetry.flight.to_json().into_bytes(),
-        )),
+        "/flight" => Some((200, "application/json", flight.to_json().into_bytes())),
         _ => None,
     });
 }

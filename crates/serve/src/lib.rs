@@ -39,9 +39,11 @@
 mod admin;
 mod client;
 pub mod frame;
+mod listen;
 mod queue;
 pub mod router;
 mod server;
+mod tally;
 mod telemetry;
 mod worker;
 

@@ -14,8 +14,8 @@
 use std::time::Duration;
 
 use crate::client::Connection;
+use crate::listen::POLL;
 use crate::router::RouterShared;
-use crate::server::POLL;
 
 /// Per-ping connect/read budget; kept short so one dead shard cannot
 /// stretch the tick far past the configured interval.

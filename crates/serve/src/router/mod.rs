@@ -36,20 +36,21 @@ pub(crate) mod pool;
 pub(crate) mod reload;
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mupod_obs::{Exposition, FlightRecorder, FlightStage, Gauge, RollingHistogram};
+use mupod_obs::{Exposition, FlightStage};
 use mupod_runtime::{CancelToken, StatusCode};
 
 use crate::admin;
 use crate::frame::{self, FrameError, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
-use crate::server::{
-    percentiles_us, read_remaining, Bound, FRAME_READ_TIMEOUT, POLL, WRITE_TIMEOUT,
-};
+use crate::listen::{self, Frame};
+use crate::server::Bound;
+use crate::tally::{tally_table, Tallies};
+use crate::telemetry::Telemetry;
 
 pub use breaker::BreakerState;
 pub use reload::{reload_shard, ReloadError};
@@ -61,11 +62,6 @@ const ATTEMPT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Grace past a request's deadline before the router answers
 /// `DeadlineExceeded` itself (covers shard-side execution overrun).
 const RELAY_GRACE: Duration = Duration::from_secs(2);
-/// Flight-recorder ring size.
-const FLIGHT_CAPACITY: usize = 4096;
-/// Rolling-window shape for routed-latency quantiles.
-const WINDOW: Duration = Duration::from_secs(60);
-const WINDOW_SLOTS: usize = 12;
 /// Shard-state byte meaning "last ping could not reach the shard".
 const STATE_UNREACHABLE: u8 = 0xFF;
 
@@ -150,6 +146,26 @@ pub struct RouteReport {
     pub p99_latency_us: u64,
 }
 
+tally_table! {
+    /// The router's tallies, one per [`RouteReport`] counter field.
+    RouteTally, "mupod_route_", "route." {
+        Requests requests "Client requests received (control ops excluded).",
+        RelayedOk relayed_ok "Requests answered with a relayed Ok.",
+        RelayedErrors relayed_errors "Requests answered with a relayed non-OK status.",
+        NoHealthyShard no_healthy_shard "Requests answered NoHealthyShard by the router.",
+        DeadlineExceeded deadline_exceeded "Requests answered DeadlineExceeded by the router.",
+        ForwardedAttempts forwarded_attempts
+            "Forwarding attempts launched (first tries, retries, hedges).",
+        Retries retries "Retries launched after a failed or retryable attempt.",
+        Hedges hedges "Hedged duplicate attempts launched.",
+        HedgeWins hedge_wins "Requests whose winning answer came from the hedge.",
+        BadFrames bad_frames "Malformed client frames answered BadRequest.",
+        ClientDisconnects client_disconnects "Clients that vanished mid-request or mid-response.",
+        BreakerOpens breaker_opens "Breaker closed-to-open transitions.",
+        BreakerCloses breaker_closes "Breaker half-open-to-closed recoveries.",
+    }
+}
+
 /// Terminal routing failures.
 #[derive(Debug)]
 pub enum RouteError {
@@ -180,24 +196,6 @@ impl std::error::Error for RouteError {
             RouteError::NoShards => None,
         }
     }
-}
-
-/// Saturating counters backing the [`RouteReport`].
-#[derive(Default)]
-pub(crate) struct RouteStats {
-    requests: AtomicU64,
-    relayed_ok: AtomicU64,
-    relayed_errors: AtomicU64,
-    no_healthy_shard: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    forwarded_attempts: AtomicU64,
-    retries: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
-    bad_frames: AtomicU64,
-    client_disconnects: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_closes: AtomicU64,
 }
 
 /// One backend shard as the router sees it.
@@ -249,14 +247,6 @@ impl Shard {
     }
 }
 
-/// Live instruments for the router's admin plane.
-pub(crate) struct RouterTelemetry {
-    start: Instant,
-    latency_us: RollingHistogram,
-    in_flight: Gauge,
-    pub(crate) flight: FlightRecorder,
-}
-
 /// State shared by the front listener, handlers, the health loop and
 /// the admin plane. Lives in an [`Arc`] because a hedge race's threads
 /// are detached (a slow losing attempt must not block the winner's
@@ -266,9 +256,8 @@ pub(crate) struct RouterShared {
     pub(crate) shards: Vec<Shard>,
     draining: AtomicBool,
     rr: AtomicUsize,
-    pub(crate) stats: RouteStats,
-    latencies_us: Mutex<Vec<u64>>,
-    telemetry: RouterTelemetry,
+    tally: Tallies<RouteTally>,
+    telemetry: Telemetry,
 }
 
 impl RouterShared {
@@ -284,14 +273,8 @@ impl RouterShared {
             shards,
             draining: AtomicBool::new(false),
             rr: AtomicUsize::new(0),
-            stats: RouteStats::default(),
-            latencies_us: Mutex::new(Vec::new()),
-            telemetry: RouterTelemetry {
-                start: Instant::now(),
-                latency_us: RollingHistogram::new(WINDOW, WINDOW_SLOTS),
-                in_flight: Gauge::new(),
-                flight: FlightRecorder::new(FLIGHT_CAPACITY),
-            },
+            tally: Tallies::new(),
+            telemetry: Telemetry::new(),
         }
     }
 
@@ -350,8 +333,8 @@ impl RouterShared {
 
     /// Hedges are budgeted to ~10% of client requests.
     fn hedge_budget_ok(&self) -> bool {
-        let hedges = self.stats.hedges.load(Ordering::SeqCst);
-        let requests = self.stats.requests.load(Ordering::SeqCst);
+        let hedges = self.tally.get(RouteTally::Hedges);
+        let requests = self.tally.get(RouteTally::Requests);
         hedges.saturating_mul(10) < requests.max(1)
     }
 
@@ -379,7 +362,7 @@ impl RouterShared {
         let shard = &self.shards[idx];
         shard.pool.clear();
         if shard.breaker.on_failure() == breaker::Transition::Opened {
-            self.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            self.tally.bump(RouteTally::BreakerOpens, 1);
             mupod_obs::event(
                 mupod_obs::Level::Warn,
                 "route.breaker_opened",
@@ -396,22 +379,13 @@ impl RouterShared {
     pub(crate) fn shard_succeeded(&self, idx: usize) {
         let shard = &self.shards[idx];
         if shard.breaker.on_success() == breaker::Transition::Closed {
-            self.stats.breaker_closes.fetch_add(1, Ordering::Relaxed);
+            self.tally.bump(RouteTally::BreakerCloses, 1);
             mupod_obs::event(
                 mupod_obs::Level::Info,
                 "route.breaker_closed",
                 &[("shard", &shard.addr.to_string())],
             );
         }
-    }
-
-    fn record_latency(&self, accepted: Instant) {
-        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.telemetry.latency_us.record(us);
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(us);
     }
 }
 
@@ -431,118 +405,67 @@ pub fn route(
     if cfg.shards.is_empty() {
         return Err(RouteError::NoShards);
     }
-    let bind = |addr: &str| -> Result<(TcpListener, SocketAddr), RouteError> {
-        let to_err = |source| RouteError::Bind {
-            addr: addr.to_string(),
-            source,
-        };
-        let listener = TcpListener::bind(addr).map_err(to_err)?;
-        let local = listener.local_addr().map_err(to_err)?;
-        listener.set_nonblocking(true).map_err(to_err)?;
-        Ok((listener, local))
-    };
-    let (listener, local) = bind(&cfg.addr)?;
-    let metrics = cfg.metrics_addr.as_deref().map(bind).transpose()?;
+    let (listener, admin_listener, bound) = listen::bind(&cfg.addr, cfg.metrics_addr.as_deref())
+        .map_err(|(addr, source)| RouteError::Bind { addr, source })?;
     mupod_obs::event(
         mupod_obs::Level::Info,
         "route.listening",
         &[
-            ("addr", &local.to_string()),
+            ("addr", &bound.addr.to_string()),
             ("shards", &cfg.shards.len().to_string()),
         ],
     );
     let shared = Arc::new(RouterShared::new(cfg.clone()));
-    on_ready(Bound {
-        addr: local,
-        metrics_addr: metrics.as_ref().map(|(_, a)| *a),
-    });
+    on_ready(bound);
     std::thread::scope(|s| {
         let sh = &shared;
         s.spawn(move || health::health_loop(sh));
-        if let Some((metrics_listener, _)) = metrics {
+        if let Some(admin_listener) = admin_listener {
             s.spawn(move || {
-                admin::run_admin(
-                    &metrics_listener,
+                admin::admin_loop(
+                    &admin_listener,
                     &|| sh.is_draining(),
-                    &|path| match path {
-                        "/metrics" => Some((
-                            200,
-                            "text/plain; version=0.0.4",
-                            render_metrics(sh).into_bytes(),
-                        )),
-                        "/health" => {
-                            let (code, body) = render_health(sh);
-                            Some((code, "application/json", body.into_bytes()))
-                        }
-                        "/flight" => Some((
-                            200,
-                            "application/json",
-                            sh.telemetry.flight.to_json().into_bytes(),
-                        )),
-                        _ => None,
-                    },
+                    &|| render_metrics(sh),
+                    &|| render_health(sh),
+                    &sh.telemetry.flight,
                 );
             });
         }
-        loop {
-            if token.is_cancelled() || shared.is_draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    mupod_obs::counter_add("route.connections", 1);
-                    let sh = Arc::clone(&shared);
-                    s.spawn(move || handle_client(stream, &sh));
+        listen::accept_loop(
+            &listener,
+            &|| token.is_cancelled() || sh.is_draining(),
+            &|| sh.begin_drain(),
+            "route.connections",
+            "route.accept_error",
+            &|stream| {
+                let serve = |stream: &mut TcpStream, frame| serve_front_one(stream, frame, sh);
+                if listen::handle_conn(stream, &|| sh.is_draining(), &serve) {
+                    sh.tally.bump(RouteTally::ClientDisconnects, 1);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => {
-                    mupod_obs::event(
-                        mupod_obs::Level::Warn,
-                        "route.accept_error",
-                        &[("error", &e.to_string())],
-                    );
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
-        shared.begin_drain();
+            },
+        );
     });
-    if let Some(path) = cfg.flight_out.as_deref() {
-        let doc = shared.telemetry.flight.to_json();
-        if let Err(e) = mupod_runtime::write_atomic(path, doc.as_bytes()) {
-            mupod_obs::event(
-                mupod_obs::Level::Error,
-                "route.flight_dump_failed",
-                &[
-                    ("path", &path.display().to_string()),
-                    ("error", &e.to_string()),
-                ],
-            );
-        }
-    }
-    let mut lat = shared
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let (p50, p99) = percentiles_us(&mut lat);
-    drop(lat);
-    let st = &shared.stats;
+    shared.telemetry.dump_flight(
+        cfg.flight_out.as_deref(),
+        "route.flight_dumped",
+        "route.flight_dump_failed",
+    );
+    let (p50, p99) = shared.telemetry.lifetime_us.percentiles();
+    let t = |tally| shared.tally.get(tally);
     let report = RouteReport {
-        requests: st.requests.load(Ordering::SeqCst),
-        relayed_ok: st.relayed_ok.load(Ordering::SeqCst),
-        relayed_errors: st.relayed_errors.load(Ordering::SeqCst),
-        no_healthy_shard: st.no_healthy_shard.load(Ordering::SeqCst),
-        deadline_exceeded: st.deadline_exceeded.load(Ordering::SeqCst),
-        forwarded_attempts: st.forwarded_attempts.load(Ordering::SeqCst),
-        retries: st.retries.load(Ordering::SeqCst),
-        hedges: st.hedges.load(Ordering::SeqCst),
-        hedge_wins: st.hedge_wins.load(Ordering::SeqCst),
-        bad_frames: st.bad_frames.load(Ordering::SeqCst),
-        client_disconnects: st.client_disconnects.load(Ordering::SeqCst),
-        breaker_opens: st.breaker_opens.load(Ordering::SeqCst),
-        breaker_closes: st.breaker_closes.load(Ordering::SeqCst),
+        requests: t(RouteTally::Requests),
+        relayed_ok: t(RouteTally::RelayedOk),
+        relayed_errors: t(RouteTally::RelayedErrors),
+        no_healthy_shard: t(RouteTally::NoHealthyShard),
+        deadline_exceeded: t(RouteTally::DeadlineExceeded),
+        forwarded_attempts: t(RouteTally::ForwardedAttempts),
+        retries: t(RouteTally::Retries),
+        hedges: t(RouteTally::Hedges),
+        hedge_wins: t(RouteTally::HedgeWins),
+        bad_frames: t(RouteTally::BadFrames),
+        client_disconnects: t(RouteTally::ClientDisconnects),
+        breaker_opens: t(RouteTally::BreakerOpens),
+        breaker_closes: t(RouteTally::BreakerCloses),
         p50_latency_us: p50,
         p99_latency_us: p99,
     };
@@ -556,42 +479,6 @@ pub fn route(
         ],
     );
     Ok(report)
-}
-
-/// Per-connection front loop (mirrors the shard's handler loop).
-fn handle_client(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut first = [0u8; 1];
-    loop {
-        if shared.is_draining() {
-            break;
-        }
-        match stream.read(&mut first) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !serve_front_one(&mut stream, first[0], shared) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                shared
-                    .stats
-                    .client_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-    }
 }
 
 /// Writes router-originated (not relayed) response bytes to the client.
@@ -615,45 +502,25 @@ fn write_raw(stream: &mut TcpStream, shared: &RouterShared, bytes: &[u8]) -> boo
     match stream.write_all(bytes).and_then(|()| stream.flush()) {
         Ok(()) => true,
         Err(_) => {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
+            shared.tally.bump(RouteTally::ClientDisconnects, 1);
             false
         }
     }
 }
 
-/// Serves one client frame: parse enough to route, then relay.
-/// Returns whether the connection should stay open.
-fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>) -> bool {
-    let frame_deadline = Instant::now() + FRAME_READ_TIMEOUT;
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    if !read_remaining(stream, &mut header[1..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
-    }
-    let h = match frame::parse_request_header(&header) {
-        Ok(h) => h,
+/// Serves one client frame (or answers its read error): parse enough
+/// to route, then relay. Returns whether the connection should stay
+/// open.
+fn serve_front_one(
+    stream: &mut TcpStream,
+    frame: Result<Frame, FrameError>,
+    shared: &Arc<RouterShared>,
+) -> bool {
+    let frame = match frame {
+        Ok(frame) => frame,
         Err(e) => return reject_bad_frame(stream, shared, &e),
     };
-    // Accumulate the raw frame exactly as received — forwarding reuses
-    // these bytes untouched, which is what keeps trace IDs and deadline
-    // fields byte-identical across the hop.
-    let ext_len = if h.has_trace_id { TRACE_ID_LEN } else { 0 };
-    let mut raw = vec![0u8; HEADER_LEN + ext_len + h.payload_len];
-    raw[..HEADER_LEN].copy_from_slice(&header);
-    if !read_remaining(stream, &mut raw[HEADER_LEN..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
-    }
-    let trace_id = if h.has_trace_id {
-        let ext: [u8; TRACE_ID_LEN] = raw[HEADER_LEN..HEADER_LEN + TRACE_ID_LEN]
-            .try_into()
-            .unwrap_or_default();
-        frame::decode_trace_id(&ext)
-    } else {
-        0
-    };
+    let (h, trace_id) = (frame.header, frame.trace_id);
     match h.kind {
         ReqKind::HealthPing => {
             // The router answers for itself; `Degraded` warns a
@@ -685,19 +552,19 @@ fn serve_front_one(stream: &mut TcpStream, first: u8, shared: &Arc<RouterShared>
         );
         return false;
     }
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    shared.tally.bump(RouteTally::Requests, 1);
     shared
         .telemetry
         .flight
         .record(trace_id, FlightStage::Admit, -1, 0);
     shared.telemetry.in_flight.add(1);
-    let keep = relay(stream, shared, h, trace_id, &raw);
+    let keep = relay(stream, shared, h, trace_id, &frame.raw);
     shared.telemetry.in_flight.sub(1);
     keep
 }
 
 fn reject_bad_frame(stream: &mut TcpStream, shared: &RouterShared, err: &FrameError) -> bool {
-    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+    shared.tally.bump(RouteTally::BadFrames, 1);
     answer(
         stream,
         shared,
@@ -775,7 +642,6 @@ fn relay(
     trace_id: u64,
     raw_req: &[u8],
 ) -> bool {
-    let st = &shared.stats;
     let accepted = Instant::now();
     let deadline = accepted + h.budget(shared.cfg.default_deadline);
     let final_deadline = deadline + RELAY_GRACE;
@@ -786,7 +652,7 @@ fn relay(
     let mut hedge_idx: Option<usize> = None;
 
     let Some(mut idx) = shared.pick_shard(&used) else {
-        st.no_healthy_shard.fetch_add(1, Ordering::Relaxed);
+        shared.tally.bump(RouteTally::NoHealthyShard, 1);
         return answer(
             stream,
             shared,
@@ -810,7 +676,7 @@ fn relay(
                         Some(next) => {
                             hedge_idx = Some(next);
                             used.push(next);
-                            st.hedges.fetch_add(1, Ordering::Relaxed);
+                            shared.tally.bump(RouteTally::Hedges, 1);
                             shared.telemetry.flight.record(
                                 trace_id,
                                 FlightStage::Hedge,
@@ -833,7 +699,7 @@ fn relay(
         {
             if let Some(next) = shared.pick_shard(&used) {
                 retries_used += 1;
-                st.retries.fetch_add(1, Ordering::Relaxed);
+                shared.tally.bump(RouteTally::Retries, 1);
                 shared.telemetry.flight.record(
                     trace_id,
                     FlightStage::Forward,
@@ -847,13 +713,13 @@ fn relay(
         return match outcome {
             Ok(relayed) => {
                 if relayed.status == StatusCode::Ok {
-                    st.relayed_ok.fetch_add(1, Ordering::Relaxed);
-                    shared.record_latency(accepted);
+                    shared.tally.bump(RouteTally::RelayedOk, 1);
+                    shared.telemetry.record_latency(accepted);
                 } else {
-                    st.relayed_errors.fetch_add(1, Ordering::Relaxed);
+                    shared.tally.bump(RouteTally::RelayedErrors, 1);
                 }
                 if hedge_idx == Some(answered_by) {
-                    st.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                    shared.tally.bump(RouteTally::HedgeWins, 1);
                 }
                 shared.telemetry.flight.record(
                     trace_id,
@@ -864,7 +730,7 @@ fn relay(
                 write_raw(stream, shared, &relayed.raw)
             }
             Err(e) if matches!(e, AttemptError::Deadline) || Instant::now() >= final_deadline => {
-                st.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                shared.tally.bump(RouteTally::DeadlineExceeded, 1);
                 answer(
                     stream,
                     shared,
@@ -874,7 +740,7 @@ fn relay(
                 )
             }
             Err(e) => {
-                st.no_healthy_shard.fetch_add(1, Ordering::Relaxed);
+                shared.tally.bump(RouteTally::NoHealthyShard, 1);
                 let msg = format!("all shard attempts failed: {e}");
                 answer(
                     stream,
@@ -918,10 +784,7 @@ fn send(
     final_deadline: Instant,
     trace_id: u64,
 ) -> Result<TcpStream, AttemptError> {
-    shared
-        .stats
-        .forwarded_attempts
-        .fetch_add(1, Ordering::Relaxed);
+    shared.tally.bump(RouteTally::ForwardedAttempts, 1);
     shared
         .telemetry
         .flight
@@ -1034,7 +897,6 @@ fn race(
 
 /// Renders the router's `/metrics` payload (`mupod_route_*` families).
 fn render_metrics(shared: &RouterShared) -> String {
-    let st = &shared.stats;
     let t = &shared.telemetry;
     let mut e = Exposition::new();
     e.gauge_f64(
@@ -1042,75 +904,7 @@ fn render_metrics(shared: &RouterShared) -> String {
         "Seconds since the router started.",
         t.start.elapsed().as_secs_f64(),
     );
-    for (name, help, counter) in [
-        (
-            "mupod_route_requests_total",
-            "Client requests received (control ops excluded).",
-            &st.requests,
-        ),
-        (
-            "mupod_route_relayed_ok_total",
-            "Requests answered with a relayed Ok.",
-            &st.relayed_ok,
-        ),
-        (
-            "mupod_route_relayed_errors_total",
-            "Requests answered with a relayed non-OK status.",
-            &st.relayed_errors,
-        ),
-        (
-            "mupod_route_no_healthy_shard_total",
-            "Requests answered NoHealthyShard by the router.",
-            &st.no_healthy_shard,
-        ),
-        (
-            "mupod_route_deadline_exceeded_total",
-            "Requests answered DeadlineExceeded by the router.",
-            &st.deadline_exceeded,
-        ),
-        (
-            "mupod_route_forwarded_attempts_total",
-            "Forwarding attempts launched (first tries, retries, hedges).",
-            &st.forwarded_attempts,
-        ),
-        (
-            "mupod_route_retries_total",
-            "Retries launched after a failed or retryable attempt.",
-            &st.retries,
-        ),
-        (
-            "mupod_route_hedges_total",
-            "Hedged duplicate attempts launched.",
-            &st.hedges,
-        ),
-        (
-            "mupod_route_hedge_wins_total",
-            "Requests whose winning answer came from the hedge.",
-            &st.hedge_wins,
-        ),
-        (
-            "mupod_route_bad_frames_total",
-            "Malformed client frames answered BadRequest.",
-            &st.bad_frames,
-        ),
-        (
-            "mupod_route_client_disconnects_total",
-            "Clients that vanished mid-request or mid-response.",
-            &st.client_disconnects,
-        ),
-        (
-            "mupod_route_breaker_opens_total",
-            "Breaker closed-to-open transitions.",
-            &st.breaker_opens,
-        ),
-        (
-            "mupod_route_breaker_closes_total",
-            "Breaker half-open-to-closed recoveries.",
-            &st.breaker_closes,
-        ),
-    ] {
-        e.counter(name, help, counter.load(Ordering::SeqCst));
-    }
+    shared.tally.expose(&mut e);
     e.gauge(
         "mupod_route_in_flight",
         "Client requests admitted but not yet answered.",
@@ -1230,6 +1024,7 @@ mod tests {
     use crate::server::{run, ServeConfig, ServeError, ServeReport};
     use crate::test_util::{image, tiny_net};
     use mupod_runtime::{CancelReason, CancelToken};
+    use std::net::TcpListener;
     use std::sync::mpsc;
     use std::thread::JoinHandle;
 

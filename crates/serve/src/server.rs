@@ -17,32 +17,25 @@
 //! | 2     | queue ≥ ¾ capacity    | low-priority requests rejected `ServerBusy` at admission |
 //! | 3     | SIGINT / fatal error  | drain: stop accepting, finish in-flight, answer queued `Draining` |
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mupod_nn::{KernelTier, Network};
-use mupod_obs::FlightStage;
+use mupod_obs::{FlightStage, RollingHistogram};
 use mupod_runtime::{CancelToken, StatusCode};
 
-use crate::admin;
-use crate::frame::{self, FrameError, Priority, ReqKind, ShardState, HEADER_LEN, TRACE_ID_LEN};
+use crate::frame::{self, FrameError, Priority, ReqKind, ShardState};
+use crate::listen::{self, Frame};
 use crate::queue::{BoundedQueue, PushError};
-use crate::telemetry::Telemetry;
-use crate::worker;
+use crate::tally::{tally_table, Tallies};
+use crate::telemetry::{self, Telemetry};
+use crate::{admin, worker};
 
-/// How often blocked loops (accept, idle connection reads, queue pops)
-/// wake to re-check the drain flag.
-pub(crate) const POLL: Duration = Duration::from_millis(50);
-/// Once a frame's first byte arrives, the rest must follow within this
-/// window or the connection is dropped with `BadRequest`.
-pub(crate) const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
-/// Socket write timeout: a peer that stops reading cannot pin a handler.
-pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Grace on top of a request's deadline for the worker's answer to
 /// arrive before the handler gives up (covers batch execution time).
 const RESPONSE_GRACE: Duration = Duration::from_secs(10);
@@ -140,6 +133,23 @@ pub struct ServeReport {
     pub p99_latency_us: u64,
 }
 
+tally_table! {
+    /// The shard's tallies, one per [`ServeReport`] counter field.
+    ServeTally, "mupod_", "serve." {
+        RequestsOk requests_ok "Requests answered Ok with a class.",
+        RejectedBusy rejected_busy "Fast-rejected at admission (queue full or shed).",
+        RejectedDraining rejected_draining "Answered Draining at admission or dequeue.",
+        ShedLowPriority shed_low_priority "Low-priority requests shed by ladder level 2.",
+        DeadlineExpired deadline_expired
+            "Requests whose deadline expired before or during service.",
+        BadFrames bad_frames "Malformed frames answered BadRequest.",
+        WorkerCrashes worker_crashes "Worker panics caught and isolated.",
+        ClientDisconnects client_disconnects "Peers that vanished mid-request or mid-response.",
+        Batches batches "Batched forward passes executed.",
+        BatchedRequests batched_requests "Requests served through those batches.",
+    }
+}
+
 /// Terminal serving failures (everything else degrades and continues).
 #[derive(Debug)]
 pub enum ServeError {
@@ -202,23 +212,6 @@ pub(crate) struct Job {
     pub(crate) resp: mpsc::SyncSender<(StatusCode, Vec<u8>)>,
 }
 
-/// Saturating counters backing the [`ServeReport`]; kept as plain
-/// atomics (not only obs counters) so the report works even without an
-/// installed recorder.
-#[derive(Default)]
-pub(crate) struct Stats {
-    pub(crate) requests_ok: AtomicU64,
-    pub(crate) rejected_busy: AtomicU64,
-    pub(crate) rejected_draining: AtomicU64,
-    pub(crate) shed_low_priority: AtomicU64,
-    pub(crate) deadline_expired: AtomicU64,
-    pub(crate) bad_frames: AtomicU64,
-    pub(crate) worker_crashes: AtomicU64,
-    pub(crate) client_disconnects: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-}
-
 /// Rebuilds a freshly calibrated [`Network`] from a reload seed; the
 /// CLI injects one that re-runs model build + head calibration. `None`
 /// makes the server answer reload requests `BadRequest`.
@@ -239,36 +232,39 @@ pub(crate) struct Shared {
     /// Serializes concurrent reload requests without holding
     /// [`Self::net`] across the (slow) rebuild.
     reload_gate: Mutex<()>,
+    /// Elements of one input image; a reload may not change it.
+    input_elems: usize,
     /// Level-3 flag: set by SIGINT or a fatal worker error.
     pub(crate) draining: AtomicBool,
     /// Current ladder level (0–2; 3 is `draining`).
     pub(crate) degrade: AtomicU8,
-    /// Worker panics so far (restart budget bookkeeping).
-    pub(crate) crashes: AtomicU32,
     /// First terminal error wins; returned from [`run`].
     pub(crate) fatal: Mutex<Option<ServeError>>,
-    /// OK-request latencies in microseconds (percentiles at drain).
-    pub(crate) latencies_us: Mutex<Vec<u64>>,
-    pub(crate) stats: Stats,
+    pub(crate) tally: Tallies<ServeTally>,
     /// Live instruments for the scrape endpoint and flight recorder.
     pub(crate) telemetry: Telemetry,
+    /// Queue depth sampled at every admission.
+    pub(crate) queue_depth: RollingHistogram,
+    /// Live jobs per executed batch (batch occupancy).
+    pub(crate) batch_fill: RollingHistogram,
 }
 
 impl Shared {
     fn new(net: Network, cfg: &ServeConfig) -> Self {
         Self {
             queue: BoundedQueue::new(cfg.queue_depth.max(1)),
+            input_elems: net.input_dims().iter().product(),
             net: Mutex::new(Arc::new(net)),
             net_epoch: AtomicU64::new(0),
             reloading: AtomicBool::new(false),
             reload_gate: Mutex::new(()),
             draining: AtomicBool::new(false),
             degrade: AtomicU8::new(0),
-            crashes: AtomicU32::new(0),
             fatal: Mutex::new(None),
-            latencies_us: Mutex::new(Vec::new()),
-            stats: Stats::default(),
+            tally: Tallies::new(),
             telemetry: Telemetry::new(),
+            queue_depth: telemetry::rolling(),
+            batch_fill: telemetry::rolling(),
         }
     }
 
@@ -309,16 +305,6 @@ impl Shared {
         }
         self.queue.close();
     }
-
-    pub(crate) fn record_latency(&self, accepted: Instant) {
-        let us = accepted.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        mupod_obs::histogram_record("serve.latency_us", us as f64);
-        self.telemetry.latency_us.record(us);
-        self.latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(us);
-    }
 }
 
 /// Sends a job's response back to its handler; the handler may already
@@ -328,8 +314,9 @@ pub(crate) fn respond_job(job: &Job, status: StatusCode, payload: Vec<u8>) {
 }
 
 /// Sorts `latencies_us` in place and returns `(p50, p99)` in
-/// microseconds — `(0, 0)` for an empty slice. Shared with the
-/// sustained-load bench so `BENCH_serve.json` uses the same definition.
+/// microseconds — `(0, 0)` for an empty slice. The benches use it for
+/// client-side latencies; the drain report reads the same ranks from
+/// its lifetime histogram.
 pub fn percentiles_us(latencies_us: &mut [u64]) -> (u64, u64) {
     if latencies_us.is_empty() {
         return (0, 0);
@@ -380,86 +367,67 @@ pub fn run_reloadable(
     reloader: Option<&Reloader>,
     on_ready: impl FnOnce(Bound),
 ) -> Result<ServeReport, ServeError> {
-    let bind = |addr: &str| -> Result<(TcpListener, SocketAddr), ServeError> {
-        let to_err = |source| ServeError::Bind {
-            addr: addr.to_string(),
-            source,
-        };
-        let listener = TcpListener::bind(addr).map_err(to_err)?;
-        let local = listener.local_addr().map_err(to_err)?;
-        listener.set_nonblocking(true).map_err(to_err)?;
-        Ok((listener, local))
-    };
-    let (listener, local) = bind(&cfg.addr)?;
-    let metrics = cfg.metrics_addr.as_deref().map(bind).transpose()?;
+    let (listener, admin_listener, bound) = listen::bind(&cfg.addr, cfg.metrics_addr.as_deref())
+        .map_err(|(addr, source)| ServeError::Bind { addr, source })?;
     mupod_obs::event(
         mupod_obs::Level::Info,
         "serve.listening",
         &[
-            ("addr", &local.to_string()),
+            ("addr", &bound.addr.to_string()),
             ("workers", &cfg.workers.to_string()),
             ("queue_depth", &cfg.queue_depth.to_string()),
             ("max_batch", &cfg.max_batch.to_string()),
         ],
     );
     let shared = Shared::new(net, cfg);
-    on_ready(Bound {
-        addr: local,
-        metrics_addr: metrics.as_ref().map(|(_, a)| *a),
-    });
+    on_ready(bound);
     std::thread::scope(|s| {
         let shared = &shared;
         for idx in 0..cfg.workers.max(1) {
             s.spawn(move || worker::worker_loop(idx, cfg, shared));
         }
-        if let Some((metrics_listener, _)) = metrics {
-            s.spawn(move || admin::admin_loop(&metrics_listener, cfg, shared));
+        if let Some(admin_listener) = admin_listener {
+            s.spawn(move || {
+                admin::admin_loop(
+                    &admin_listener,
+                    &|| shared.is_draining(),
+                    &|| telemetry::render_metrics(cfg, shared),
+                    &|| telemetry::render_health(cfg, shared),
+                    &shared.telemetry.flight,
+                );
+            });
         }
-        loop {
-            if token.is_cancelled() || shared.is_draining() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    mupod_obs::counter_add("serve.connections", 1);
-                    s.spawn(move || handle_conn(stream, cfg, shared, reloader));
+        // Handlers end once their bounded reads and waits see the drain;
+        // workers once the closed queue runs dry.
+        listen::accept_loop(
+            &listener,
+            &|| token.is_cancelled() || shared.is_draining(),
+            &|| shared.begin_drain(),
+            "serve.connections",
+            "serve.accept_error",
+            &|stream| {
+                let serve = |stream: &mut TcpStream, frame| {
+                    serve_frame(stream, frame, cfg, shared, reloader)
+                };
+                if listen::handle_conn(stream, &|| shared.is_draining(), &serve) {
+                    shared.tally.bump(ServeTally::ClientDisconnects, 1);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) => {
-                    mupod_obs::event(
-                        mupod_obs::Level::Warn,
-                        "serve.accept_error",
-                        &[("error", &e.to_string())],
-                    );
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
-        shared.begin_drain();
-        // The scope joins every worker and handler before returning:
-        // workers exit when the closed queue runs dry, handlers when
-        // their bounded reads/waits observe the drain flag.
+            },
+        );
     });
-    let mut lat = shared
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let (p50, p99) = percentiles_us(&mut lat);
-    drop(lat);
-    let st = &shared.stats;
+    let (p50, p99) = shared.telemetry.lifetime_us.percentiles();
+    let t = |tally| shared.tally.get(tally);
     let report = ServeReport {
-        requests_ok: st.requests_ok.load(Ordering::SeqCst),
-        rejected_busy: st.rejected_busy.load(Ordering::SeqCst),
-        rejected_draining: st.rejected_draining.load(Ordering::SeqCst),
-        shed_low_priority: st.shed_low_priority.load(Ordering::SeqCst),
-        deadline_expired: st.deadline_expired.load(Ordering::SeqCst),
-        bad_frames: st.bad_frames.load(Ordering::SeqCst),
-        worker_crashes: st.worker_crashes.load(Ordering::SeqCst),
-        client_disconnects: st.client_disconnects.load(Ordering::SeqCst),
-        batches: st.batches.load(Ordering::SeqCst),
-        batched_requests: st.batched_requests.load(Ordering::SeqCst),
+        requests_ok: t(ServeTally::RequestsOk),
+        rejected_busy: t(ServeTally::RejectedBusy),
+        rejected_draining: t(ServeTally::RejectedDraining),
+        shed_low_priority: t(ServeTally::ShedLowPriority),
+        deadline_expired: t(ServeTally::DeadlineExpired),
+        bad_frames: t(ServeTally::BadFrames),
+        worker_crashes: t(ServeTally::WorkerCrashes),
+        client_disconnects: t(ServeTally::ClientDisconnects),
+        batches: t(ServeTally::Batches),
+        batched_requests: t(ServeTally::BatchedRequests),
         p50_latency_us: p50,
         p99_latency_us: p99,
     };
@@ -498,74 +466,6 @@ fn ladder_level(queue_len: usize, capacity: usize) -> u8 {
     }
 }
 
-/// Per-connection loop: poll for a frame, serve it, repeat until the
-/// peer leaves, the frame stream goes bad, or the server drains.
-/// Input dims are a reload invariant (a dims-changing reload is
-/// rejected), so the expected element count is computed once.
-fn handle_conn(
-    mut stream: TcpStream,
-    cfg: &ServeConfig,
-    shared: &Shared,
-    reloader: Option<&Reloader>,
-) {
-    let expected_elems: usize = shared.current_net().input_dims().iter().product();
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let mut first = [0u8; 1];
-    loop {
-        if shared.is_draining() {
-            break;
-        }
-        match stream.read(&mut first) {
-            Ok(0) => break,
-            Ok(_) => {
-                if !serve_one(&mut stream, first[0], expected_elems, cfg, shared, reloader) {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => {
-                shared
-                    .stats
-                    .client_disconnects
-                    .fetch_add(1, Ordering::Relaxed);
-                mupod_obs::counter_add("serve.client_disconnects", 1);
-                break;
-            }
-        }
-    }
-}
-
-/// Reads exactly `buf` from a stream whose read timeout slices the
-/// wait, giving up at `deadline`. `false` means truncated/disconnected.
-pub(crate) fn read_remaining(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
 /// Writes a response frame, echoing the request's trace ID when
 /// nonzero; `false` means the peer vanished.
 fn write_response(
@@ -579,11 +479,7 @@ fn write_response(
     match stream.write_all(&frame).and_then(|()| stream.flush()) {
         Ok(()) => true,
         Err(e) => {
-            shared
-                .stats
-                .client_disconnects
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.client_disconnects", 1);
+            shared.tally.bump(ServeTally::ClientDisconnects, 1);
             mupod_obs::event(
                 mupod_obs::Level::Warn,
                 "serve.client_disconnect",
@@ -597,8 +493,7 @@ fn write_response(
 /// Answers a frame error with `BadRequest`; the connection then closes
 /// (a malformed binary stream cannot be re-synchronized).
 fn reject_bad_frame(stream: &mut TcpStream, shared: &Shared, err: &FrameError) -> bool {
-    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-    mupod_obs::counter_add("serve.bad_frames", 1);
+    shared.tally.bump(ServeTally::BadFrames, 1);
     mupod_obs::event(
         mupod_obs::Level::Warn,
         "serve.bad_frame",
@@ -617,11 +512,7 @@ fn reject_bad_frame(stream: &mut TcpStream, shared: &Shared, err: &FrameError) -
 /// Answers `Draining` to a request arriving during the drain; the
 /// connection then closes.
 fn reject_draining(stream: &mut TcpStream, shared: &Shared, trace_id: u64) -> bool {
-    shared
-        .stats
-        .rejected_draining
-        .fetch_add(1, Ordering::Relaxed);
-    mupod_obs::counter_add("serve.rejected_draining", 1);
+    shared.tally.bump(ServeTally::RejectedDraining, 1);
     shared
         .telemetry
         .flight
@@ -636,42 +527,23 @@ fn reject_draining(stream: &mut TcpStream, shared: &Shared, trace_id: u64) -> bo
     false
 }
 
-/// Serves one request whose first header byte has already arrived.
-/// Returns whether the connection should stay open.
-fn serve_one(
+/// Serves one request frame, or answers its read error. Returns
+/// whether the connection should stay open.
+fn serve_frame(
     stream: &mut TcpStream,
-    first: u8,
-    expected_elems: usize,
+    frame: Result<Frame, FrameError>,
     cfg: &ServeConfig,
     shared: &Shared,
     reloader: Option<&Reloader>,
 ) -> bool {
-    let frame_deadline = Instant::now() + FRAME_READ_TIMEOUT;
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    if !read_remaining(stream, &mut header[1..], frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
-    }
-    let h = match frame::parse_request_header(&header) {
-        Ok(h) => h,
+    let frame = match frame {
+        Ok(frame) => frame,
         Err(e) => return reject_bad_frame(stream, shared, &e),
     };
-    let trace_id = if h.has_trace_id {
-        let mut ext = [0u8; TRACE_ID_LEN];
-        if !read_remaining(stream, &mut ext, frame_deadline) {
-            return reject_bad_frame(stream, shared, &FrameError::Truncated);
-        }
-        frame::decode_trace_id(&ext)
-    } else {
-        0
-    };
-    let mut payload = vec![0u8; h.payload_len];
-    if !read_remaining(stream, &mut payload, frame_deadline) {
-        return reject_bad_frame(stream, shared, &FrameError::Truncated);
-    }
+    let (h, trace_id, payload) = (frame.header, frame.trace_id, frame.payload());
     match h.kind {
         ReqKind::Classify => {
-            let want = expected_elems * 4;
+            let want = shared.input_elems * 4;
             if h.payload_len != want {
                 return reject_bad_frame(
                     stream,
@@ -706,7 +578,7 @@ fn serve_one(
                     },
                 );
             }
-            let Some(seed) = frame::decode_reload_seed(&payload) else {
+            let Some(seed) = frame::decode_reload_seed(payload) else {
                 return reject_bad_frame(stream, shared, &FrameError::Truncated);
             };
             let (status, body) = do_reload(seed, shared, reloader);
@@ -719,7 +591,7 @@ fn serve_one(
     // Re-evaluate the degradation ladder at every admission.
     let depth = shared.queue.len();
     mupod_obs::histogram_record("serve.queue_depth", depth as f64);
-    shared.telemetry.queue_depth.record(depth as u64);
+    shared.queue_depth.record(depth as u64);
     let level = ladder_level(depth, shared.queue.capacity());
     let prev = shared.degrade.swap(level, Ordering::SeqCst);
     if level != prev {
@@ -734,12 +606,8 @@ fn serve_one(
         );
     }
     if level >= 2 && h.priority == Priority::Low {
-        shared
-            .stats
-            .shed_low_priority
-            .fetch_add(1, Ordering::Relaxed);
-        shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        mupod_obs::counter_add("serve.shed_low_priority", 1);
+        shared.tally.bump(ServeTally::ShedLowPriority, 1);
+        shared.tally.bump(ServeTally::RejectedBusy, 1);
         shared.telemetry.flight.record(
             trace_id,
             FlightStage::Shed,
@@ -759,7 +627,7 @@ fn serve_one(
     let (tx, rx) = mpsc::sync_channel(1);
     let job = Job {
         kind: h.kind,
-        image: frame::decode_image(&payload),
+        image: frame::decode_image(payload),
         deadline,
         accepted,
         trace_id,
@@ -775,8 +643,7 @@ fn serve_one(
     match shared.queue.try_push(job, h.priority) {
         Ok(()) => {}
         Err((PushError::Full, _)) => {
-            shared.stats.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_busy", 1);
+            shared.tally.bump(ServeTally::RejectedBusy, 1);
             shared.telemetry.flight.record(
                 trace_id,
                 FlightStage::Shed,
@@ -802,11 +669,7 @@ fn serve_one(
     let (status, body): (StatusCode, Vec<u8>) = match outcome {
         Ok((status, body)) => (status, body),
         Err(RecvTimeoutError::Timeout) => {
-            shared
-                .stats
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.deadline_expired", 1);
+            shared.tally.bump(ServeTally::DeadlineExpired, 1);
             (
                 StatusCode::DeadlineExceeded,
                 b"no worker answered in time".to_vec(),

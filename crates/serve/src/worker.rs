@@ -27,9 +27,9 @@ use mupod_runtime::{RetryPolicy, StatusCode};
 use mupod_tensor::Tensor;
 
 use crate::frame::ReqKind;
+use crate::listen::POLL;
 use crate::queue::Pop;
-use crate::server::{respond_job, Job, ServeConfig, ServeError, Shared, POLL};
-use crate::telemetry;
+use crate::server::{respond_job, Job, ServeConfig, ServeError, ServeTally, Shared};
 
 /// Backoff between a worker crash and its restart: fast first retry,
 /// capped well under a request deadline, deterministic per worker so
@@ -113,11 +113,7 @@ fn process_batch(
     // executed once cancellation lands).
     if shared.is_draining() {
         for job in &batch {
-            shared
-                .stats
-                .rejected_draining
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.rejected_draining", 1);
+            shared.tally.bump(ServeTally::RejectedDraining, 1);
             respond_job(job, StatusCode::Draining, b"server draining".to_vec());
         }
         return;
@@ -127,11 +123,7 @@ fn process_batch(
     let mut live = Vec::with_capacity(batch.len());
     for job in batch {
         if now >= job.deadline {
-            shared
-                .stats
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.deadline_expired", 1);
+            shared.tally.bump(ServeTally::DeadlineExpired, 1);
             respond_job(
                 &job,
                 StatusCode::DeadlineExceeded,
@@ -144,14 +136,12 @@ fn process_batch(
     if live.is_empty() {
         return;
     }
-    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+    shared.tally.bump(ServeTally::Batches, 1);
     shared
-        .stats
-        .batched_requests
-        .fetch_add(live.len() as u64, Ordering::Relaxed);
-    mupod_obs::counter_add("serve.batches", 1);
+        .tally
+        .bump(ServeTally::BatchedRequests, live.len() as u64);
     mupod_obs::histogram_record("serve.batch_size", live.len() as f64);
-    shared.telemetry.batch_fill.record(live.len() as u64);
+    shared.batch_fill.record(live.len() as u64);
     for job in &live {
         shared
             .telemetry
@@ -190,27 +180,24 @@ fn process_batch(
             // same order the images were gathered.
             for (job, class) in live.iter().zip(classes) {
                 if done >= job.deadline {
-                    shared
-                        .stats
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    mupod_obs::counter_add("serve.deadline_expired", 1);
+                    shared.tally.bump(ServeTally::DeadlineExpired, 1);
                     respond_job(
                         job,
                         StatusCode::DeadlineExceeded,
                         b"deadline expired during execution".to_vec(),
                     );
                 } else {
-                    shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);
-                    mupod_obs::counter_add("serve.requests_ok", 1);
-                    shared.record_latency(job.accepted);
+                    shared.tally.bump(ServeTally::RequestsOk, 1);
+                    let us = shared.telemetry.record_latency(job.accepted);
+                    mupod_obs::histogram_record("serve.latency_us", us as f64);
                     respond_job(job, StatusCode::Ok, (class as u32).to_le_bytes().to_vec());
                 }
             }
         }
         Err(_) => {
-            shared.stats.worker_crashes.fetch_add(1, Ordering::Relaxed);
-            mupod_obs::counter_add("serve.worker_crashes", 1);
+            // Each crash draws a distinct count against the budget.
+            let crashes = shared.tally.bump(ServeTally::WorkerCrashes, 1);
+            let crashes = u32::try_from(crashes).unwrap_or(u32::MAX);
             for job in &live {
                 shared
                     .telemetry
@@ -224,10 +211,11 @@ fn process_batch(
             }
             // Seal the ring's final moments while they are still final:
             // the panic is the event a post-mortem will ask about.
-            telemetry::dump_flight(cfg, shared);
-            // ordering: Relaxed — the RMW is still atomic, so every
-            // crash draws a unique count against the restart budget.
-            let crashes = shared.crashes.fetch_add(1, Ordering::Relaxed) + 1;
+            shared.telemetry.dump_flight(
+                cfg.flight_out.as_deref(),
+                "serve.flight_dumped",
+                "serve.flight_dump_failed",
+            );
             if crashes > cfg.restart_budget {
                 mupod_obs::event(
                     mupod_obs::Level::Error,
