@@ -20,7 +20,10 @@
 //! 4. **Validate** ([`AccuracyEvaluator::accuracy_quantized`]): check
 //!    the final allocation under true fixed-point rounding.
 //!
-//! [`PrecisionOptimizer`] wires the steps together behind one call.
+//! [`PrecisionOptimizer`] wires the steps together: steps 1–2 do not
+//! depend on the objective, so [`PrecisionOptimizer::prepare`] runs them
+//! once per accuracy budget and [`Prepared::allocate`] runs steps 3–4
+//! per objective; [`PrecisionOptimizer::run`] is the two in one call.
 //!
 //! # Example
 //!
@@ -36,12 +39,17 @@
 //! mupod_models::calibrate::calibrate_head(&mut net, &data, 0.1).unwrap();
 //!
 //! let layers = ModelKind::AlexNet.analyzable_layers(&net);
-//! let result = PrecisionOptimizer::new(&net, &data)
+//! // Profile, evaluator and σ-search once for the 1 % budget...
+//! let prepared = PrecisionOptimizer::new(&net, &data)
 //!     .layers(layers)
 //!     .relative_accuracy_loss(0.01)
-//!     .run(Objective::Bandwidth)
+//!     .prepare()
 //!     .unwrap();
-//! println!("bits: {:?}", result.allocation.bits());
+//! // ...then one Eq. 8 solve plus validation per objective.
+//! for objective in [Objective::Bandwidth, Objective::MacEnergy] {
+//!     let result = prepared.allocate(&objective).unwrap();
+//!     println!("{}: {:?}", objective.name(), result.allocation.bits());
+//! }
 //! ```
 
 mod allocate;
@@ -58,7 +66,7 @@ mod weights;
 pub use allocate::{allocate, allocate_equal, AllocateConfig, AllocationOutcome, Objective};
 pub use error::CoreError;
 pub use eval::{AccuracyEvaluator, AccuracyMode};
-pub use optimizer::{OptimizeError, OptimizeResult, PrecisionOptimizer};
+pub use optimizer::{OptimizeError, OptimizeResult, PrecisionOptimizer, Prepared};
 pub use profile::{
     FallbackReason, GuardConfig, LayerProfile, Profile, ProfileConfig, ProfileError, Profiler,
     ProgressFn,

@@ -1,11 +1,14 @@
 //! The end-to-end precision optimizer: profile → search → allocate →
-//! validate behind one builder-style API.
+//! validate behind one builder-style API, in the paper's two stages —
+//! [`PrecisionOptimizer::prepare`] once per accuracy budget, then
+//! [`Prepared::allocate`] once per objective.
 
-use crate::allocate::{allocate, AllocateConfig, AllocationOutcome, Objective};
+use crate::allocate::{allocate, AllocateConfig, Objective};
 use crate::eval::{AccuracyEvaluator, AccuracyMode};
 use crate::profile::{Profile, ProfileConfig, ProfileError, Profiler};
 use crate::search::{SearchOutcome, SearchScheme, SigmaSearch};
 use mupod_data::Dataset;
+use mupod_nn::inventory::LayerInventory;
 use mupod_nn::{Network, NodeId};
 
 /// Errors from the end-to-end pipeline.
@@ -235,16 +238,8 @@ impl<'a> PrecisionOptimizer<'a> {
         self
     }
 
-    fn cancel_checkpoint(&self) -> Result<(), OptimizeError> {
-        match &self.cancel {
-            Some(token) => token
-                .checkpoint()
-                .map_err(|c| OptimizeError::Cancelled(c.reason)),
-            None => Ok(()),
-        }
-    }
-
-    /// Runs the pipeline for one objective.
+    /// Runs the pipeline for one objective: [`PrecisionOptimizer::prepare`]
+    /// then [`Prepared::allocate`].
     ///
     /// # Errors
     ///
@@ -252,6 +247,23 @@ impl<'a> PrecisionOptimizer<'a> {
     /// on setup failures and [`OptimizeError::ValidationFailed`] if the
     /// final rounding validation misses the accuracy target.
     pub fn run(&self, objective: Objective) -> Result<OptimizeResult, OptimizeError> {
+        let _run_span = mupod_obs::span("optimize.run");
+        self.prepare()?.allocate(&objective)
+    }
+
+    /// Runs the objective-independent stages once: profile (or reuse
+    /// the [`PrecisionOptimizer::with_profile`] profile), widen the
+    /// ranges over the whole dataset, build the evaluator and search
+    /// `σ_{Y_Ł}` for the accuracy budget. The returned [`Prepared`]
+    /// then allocates for any number of objectives, each costing one
+    /// Eq. 8 solve plus validation (§VI-A).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptimizeError::Profile`] / [`OptimizeError::NoLayers`]
+    /// on setup failures and [`OptimizeError::Cancelled`] when the
+    /// token fires between stages.
+    pub fn prepare(&self) -> Result<Prepared<'a>, OptimizeError> {
         let layers = match &self.layers {
             Some(l) => l.clone(),
             None => self.net.dot_product_layers(),
@@ -259,10 +271,9 @@ impl<'a> PrecisionOptimizer<'a> {
         if layers.is_empty() {
             return Err(OptimizeError::NoLayers);
         }
-        let _run_span = mupod_obs::span("optimize.run");
 
         // 1. Profile (or reuse).
-        self.cancel_checkpoint()?;
+        cancel_checkpoint(&self.cancel)?;
         let mut profile = {
             let _span = mupod_obs::span("optimize.profile");
             match &self.reuse_profile {
@@ -284,13 +295,11 @@ impl<'a> PrecisionOptimizer<'a> {
         // profiling subset alone can saturate on unseen images, which
         // produces errors far larger than the modelled Δ (§II-A measures
         // max|X_K| with a forward pass over the data).
-        profile.update_ranges(mupod_nn::inventory::LayerInventory::measure(
-            self.net,
-            self.dataset.images().iter().cloned(),
-        ));
+        let inventory = LayerInventory::measure(self.net, self.dataset.images().iter().cloned());
+        profile.update_ranges(inventory.clone());
 
         // 2. Binary search for σ_{Y_Ł}.
-        self.cancel_checkpoint()?;
+        cancel_checkpoint(&self.cancel)?;
         let _search_span = mupod_obs::span("optimize.search");
         let evaluator = AccuracyEvaluator::with_threads_tier(
             self.net,
@@ -300,68 +309,143 @@ impl<'a> PrecisionOptimizer<'a> {
             self.profile_config.kernel_tier,
         );
         let fp_accuracy = evaluator.fp_accuracy();
-        let target = fp_accuracy * (1.0 - self.relative_loss);
-        let search = SigmaSearch {
+        let (target, sigma) = search_sigma(&profile, &evaluator, self.scheme, self.relative_loss);
+        Ok(Prepared {
+            layers,
+            profile,
+            inventory,
+            evaluator,
+            sigma,
+            fp_accuracy,
+            target,
             scheme: self.scheme,
-            ..Default::default()
-        };
-        let sigma = search.search(&profile, &evaluator, target);
-        drop(_search_span);
+            validate: self.validate,
+            cancel: self.cancel.clone(),
+        })
+    }
+}
 
-        // 3 + 4. Allocate for the objective, validate under true
-        // rounding, and refine: real rounding error on deep, narrow
-        // networks can run slightly hotter than the modelled white
-        // noise (rounding is signal-correlated), so a failed validation
-        // shrinks the budget and re-runs the cheap last stage — the
-        // same "re-running the last optimization step" the paper
-        // highlights as inexpensive (§VI-A). A degenerate σ = 0 search
-        // result is clamped to a tiny budget (maximum-precision
-        // formats).
-        let slack = 0.02 + 2.0 / evaluator.len() as f64;
-        let mut sigma_for_alloc = sigma.sigma.max(1e-6);
-        let mut last: Option<(AllocationOutcome, f64)> = None;
+/// The accuracy target for a relative `loss` and the σ-search against it.
+fn search_sigma(
+    profile: &Profile,
+    evaluator: &AccuracyEvaluator<'_>,
+    scheme: SearchScheme,
+    loss: f64,
+) -> (f64, SearchOutcome) {
+    let target = evaluator.fp_accuracy() * (1.0 - loss);
+    let search = SigmaSearch {
+        scheme,
+        ..Default::default()
+    };
+    (target, search.search(profile, evaluator, target))
+}
+
+/// Polls the optional cancellation token between stages.
+fn cancel_checkpoint(cancel: &Option<mupod_runtime::CancelToken>) -> Result<(), OptimizeError> {
+    match cancel {
+        Some(token) => token
+            .checkpoint()
+            .map_err(|c| OptimizeError::Cancelled(c.reason)),
+        None => Ok(()),
+    }
+}
+
+/// The objective-independent half of the pipeline for one network,
+/// dataset and accuracy budget: the profile, the evaluator and the
+/// searched `σ_{Y_Ł}`. `σ_{Y_Ł}` depends on the profile, the data and
+/// the budget but not on `ρ` (Scheme 1 splits it equally), so every
+/// objective allocates from the same one (§V-D).
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    /// The layers the allocation covers, in order.
+    pub layers: Vec<NodeId>,
+    /// The profile, its ranges widened over the whole dataset.
+    pub profile: Profile,
+    /// The dataset inventory that widened the ranges.
+    pub inventory: LayerInventory,
+    /// The evaluator over the dataset; its reference pass ran once.
+    pub evaluator: AccuracyEvaluator<'a>,
+    /// The searched output budget `σ_{Y_Ł}`.
+    pub sigma: SearchOutcome,
+    /// Full-precision reference accuracy.
+    pub fp_accuracy: f64,
+    /// The accuracy the allocations must keep.
+    pub target: f64,
+    scheme: SearchScheme,
+    validate: bool,
+    cancel: Option<mupod_runtime::CancelToken>,
+}
+
+impl Prepared<'_> {
+    /// Moves to another relative accuracy loss: the profile, inventory
+    /// and evaluator stay, the target and `σ_{Y_Ł}` are searched anew.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptimizeError::Cancelled`] when the token has fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 <= loss < 1`.
+    pub fn rebudget(&mut self, loss: f64) -> Result<(), OptimizeError> {
+        assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
+        cancel_checkpoint(&self.cancel)?;
+        let _search_span = mupod_obs::span("optimize.search");
+        (self.target, self.sigma) = search_sigma(&self.profile, &self.evaluator, self.scheme, loss);
+        Ok(())
+    }
+
+    /// Allocates for one objective: the Eq. 8 solve at `σ_{Y_Ł}`, then
+    /// validation under true rounding with up to three budget shrinks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptimizeError::ValidationFailed`] if the last attempt
+    /// still misses the target and [`OptimizeError::Cancelled`] when the
+    /// token fires between attempts.
+    pub fn allocate(&self, objective: &Objective) -> Result<OptimizeResult, OptimizeError> {
+        // Real rounding error on deep, narrow networks can run slightly
+        // hotter than the modelled white noise (rounding is
+        // signal-correlated), so a failed validation shrinks the budget
+        // and re-runs the cheap last stage — the same "re-running the
+        // last optimization step" the paper highlights as inexpensive
+        // (§VI-A). A degenerate σ = 0 search result is clamped to a tiny
+        // budget (maximum-precision formats).
+        let slack = 0.02 + 2.0 / self.evaluator.len() as f64;
+        let mut sigma_for_alloc = self.sigma.sigma.max(1e-6);
+        let mut last_acc = f64::NAN;
         let config = AllocateConfig::default();
         for attempt in 0..4 {
-            self.cancel_checkpoint()?;
+            cancel_checkpoint(&self.cancel)?;
             let outcome = {
                 let _span = mupod_obs::span("optimize.allocate");
-                allocate(&profile, sigma_for_alloc, &objective, &config)
+                allocate(&self.profile, sigma_for_alloc, objective, &config)
             };
-            if !self.validate {
-                return Ok(OptimizeResult {
-                    allocation: outcome.allocation,
-                    xi: outcome.xi,
-                    sigma,
-                    sigma_allocated: sigma_for_alloc,
-                    fp_accuracy,
-                    validated_accuracy: f64::NAN,
-                    profile,
-                    layers,
-                });
-            }
-            let acc = {
+            let validated_accuracy = if self.validate {
                 let _span = mupod_obs::span("optimize.validate");
-                evaluator.accuracy_of_allocation(&layers, &outcome.allocation)
+                self.evaluator
+                    .accuracy_of_allocation(&self.layers, &outcome.allocation)
+            } else {
+                f64::NAN
             };
-            if acc + 1e-9 >= target - slack {
+            if !self.validate || validated_accuracy + 1e-9 >= self.target - slack {
                 return Ok(OptimizeResult {
                     allocation: outcome.allocation,
                     xi: outcome.xi,
-                    sigma,
+                    sigma: self.sigma.clone(),
                     sigma_allocated: sigma_for_alloc,
-                    fp_accuracy,
-                    validated_accuracy: acc,
-                    profile,
-                    layers,
+                    fp_accuracy: self.fp_accuracy,
+                    validated_accuracy,
+                    profile: self.profile.clone(),
+                    layers: self.layers.clone(),
                 });
             }
-            last = Some((outcome, acc));
+            last_acc = validated_accuracy;
             if attempt < 3 {
                 sigma_for_alloc *= 0.6;
             }
         }
-        let acc = last.map_or(f64::NAN, |(_, acc)| acc);
-        Err(OptimizeError::ValidationFailed(acc, target))
+        Err(OptimizeError::ValidationFailed(last_acc, self.target))
     }
 }
 
@@ -416,22 +500,18 @@ mod tests {
     fn different_objectives_yield_different_allocations() {
         let (net, data) = setup();
         let layers = ModelKind::AlexNet.analyzable_layers(&net);
-        let base = PrecisionOptimizer::new(&net, &data)
-            .layers(layers.clone())
+        // One preparation serves both objectives (the §VI-A workflow) —
+        // and check the xi differ.
+        let prepared = PrecisionOptimizer::new(&net, &data)
+            .layers(layers)
             .relative_accuracy_loss(0.05)
             .profile_config(quick_config())
             .profile_images(8)
-            .skip_validation();
-        let bw = base.run(Objective::Bandwidth).unwrap();
-        // Reuse the profile for the second objective (the §VI-A
-        // workflow) — and check the xi differ.
-        let mac = PrecisionOptimizer::new(&net, &data)
-            .layers(layers)
-            .relative_accuracy_loss(0.05)
-            .with_profile(bw.profile.clone())
             .skip_validation()
-            .run(Objective::MacEnergy)
+            .prepare()
             .unwrap();
+        let bw = prepared.allocate(&Objective::Bandwidth).unwrap();
+        let mac = prepared.allocate(&Objective::MacEnergy).unwrap();
         // Cross-objective dominance: each allocation must be at least as
         // good as the other's on its own criterion. (On tiny 5-layer
         // networks the discreteness guard can collapse both to the same
@@ -451,6 +531,28 @@ mod tests {
             mac.allocation.total_weighted_bits(&rho_mac)
                 <= bw.allocation.total_weighted_bits(&rho_mac) + bit_slack(&rho_mac)
         );
+    }
+
+    #[test]
+    fn rebudget_matches_a_fresh_preparation_at_that_budget() {
+        let (net, data) = setup();
+        let layers = ModelKind::AlexNet.analyzable_layers(&net);
+        let at = |loss| {
+            PrecisionOptimizer::new(&net, &data)
+                .layers(layers.clone())
+                .relative_accuracy_loss(loss)
+                .profile_config(quick_config())
+                .profile_images(8)
+                .prepare()
+                .unwrap()
+        };
+        let mut moved = at(0.05);
+        moved.rebudget(0.01).unwrap();
+        let fresh = at(0.01);
+        assert_eq!(moved.target.to_bits(), fresh.target.to_bits());
+        assert_eq!(moved.sigma, fresh.sigma);
+        let bw = |p: &Prepared<'_>| p.allocate(&Objective::Bandwidth).unwrap().allocation.bits();
+        assert_eq!(bw(&moved), bw(&fresh));
     }
 
     #[test]

@@ -597,8 +597,10 @@ impl<'a> Profiler<'a> {
             self.config.guard.validate_activations,
         )
         .map_err(ProfileError::from)?;
-        let inventory = LayerInventory::measure(self.net, self.images.iter().cloned());
         drop(clean_span);
+        // Static facts only: each layer's `max|X_K|` is read from the
+        // clean caches, which keep every profiled layer's input.
+        let inventory = LayerInventory::measure(self.net, std::iter::empty());
         let rng = SeededRng::new(self.config.seed);
         let skipped = layers.len() - todo.len();
         Pool::new(self.config.threads, || replay_arena(self.net, &self.config))
@@ -638,7 +640,11 @@ impl<'a> Profiler<'a> {
         let _span = mupod_obs::span_fields("profile.layer", &[("layer", &info.name)]);
         let cfg = &self.config;
         let checks = validation(cfg.guard.validate_activations);
-        let max_abs = info.max_abs;
+        let producer = self.net.node(layer).inputs[0];
+        let max_abs = clean
+            .iter()
+            .map(|acts| acts.get(producer).max_abs() as f64)
+            .fold(0.0, f64::max);
         let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
         let repeats = cfg.repeats.max(1);
         // Sample `t` is image `t / repeats`, repeat `t % repeats`: the

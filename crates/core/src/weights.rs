@@ -14,18 +14,20 @@ use std::collections::HashMap;
 
 /// Finds the smallest uniform weight bitwidth in `[min_bits, max_bits]`
 /// that keeps accuracy at or above `target_accuracy`, with the given
-/// per-layer *input* formats simultaneously applied.
+/// per-layer *input* formats simultaneously applied. `evaluator` must
+/// be built over `net`: every candidate is scored against its
+/// full-precision reference, so one reference pass serves them all.
 ///
-/// Returns `(weight_bits, accuracy)`; falls back to `max_bits` if even
-/// that violates the target (the caller can then relax its budget).
+/// Returns `(weight_bits, accuracy)`; falls back to `max_bits` and its
+/// accuracy if even that violates the target (the caller can then
+/// relax its budget).
 ///
 /// # Panics
 ///
 /// Panics if `min_bits == 0` or `min_bits > max_bits`.
 pub fn search_weight_bits(
     net: &Network,
-    evaluator_dataset: &mupod_data::Dataset,
-    mode: crate::eval::AccuracyMode,
+    evaluator: &AccuracyEvaluator<'_>,
     input_formats: &HashMap<NodeId, FixedPointFormat>,
     target_accuracy: f64,
     min_bits: u32,
@@ -33,50 +35,20 @@ pub fn search_weight_bits(
 ) -> (u32, f64) {
     assert!(min_bits > 0, "weight bitwidth must be positive");
     assert!(min_bits <= max_bits, "empty weight bitwidth range");
-    let mut chosen = max_bits;
-    let mut chosen_acc = 0.0;
-    for bits in (min_bits..=max_bits).rev() {
-        let quantized = net.with_quantized_weights(bits);
-        // The evaluator references the *quantized* network so fp-agreement
-        // still compares against the original labels semantics: reuse the
-        // original network's reference predictions by evaluating the
-        // quantized network on the original evaluator's targets.
-        let ev = AccuracyEvaluator::new(net, evaluator_dataset, mode);
-        let acc = {
-            let formats = input_formats.clone();
-            // Quantize inputs on the weight-quantized clone.
-            let root = &quantized;
-            evaluator_accuracy_on(&ev, root, &formats)
-        };
-        if acc >= target_accuracy {
-            chosen = bits;
-            chosen_acc = acc;
-        } else {
-            break;
+    let accuracy_at = |bits| {
+        evaluator.accuracy_of_network_with_formats(&net.with_quantized_weights(bits), input_formats)
+    };
+    let mut chosen = (max_bits, accuracy_at(max_bits));
+    if chosen.1 >= target_accuracy {
+        for bits in (min_bits..max_bits).rev() {
+            let acc = accuracy_at(bits);
+            if acc < target_accuracy {
+                break;
+            }
+            chosen = (bits, acc);
         }
     }
-    // lint:allow(no-float-eq) reason=0.0 is the never-assigned sentinel, not a computed accuracy; any measured accuracy overwrites it
-    if chosen_acc == 0.0 {
-        // Even max_bits failed; report its measured accuracy.
-        let quantized = net.with_quantized_weights(max_bits);
-        let ev = AccuracyEvaluator::new(net, evaluator_dataset, mode);
-        chosen_acc = evaluator_accuracy_on(&ev, &quantized, input_formats);
-        chosen = max_bits;
-    }
-    (chosen, chosen_acc)
-}
-
-/// Accuracy of `other` (a weight-quantized clone) against the reference
-/// targets of `ev`, with input quantization applied.
-fn evaluator_accuracy_on(
-    ev: &AccuracyEvaluator<'_>,
-    other: &Network,
-    input_formats: &HashMap<NodeId, FixedPointFormat>,
-) -> f64 {
-    // AccuracyEvaluator does not expose per-image targets, so measure via
-    // its quantized-network entry point: temporarily treat `other` as the
-    // network and quantize inputs with a tap.
-    ev.accuracy_of_network_with_formats(other, input_formats)
+    chosen
 }
 
 #[cfg(test)]
@@ -86,22 +58,66 @@ mod tests {
     use mupod_data::{Dataset, DatasetSpec};
     use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 
-    #[test]
-    fn weight_search_returns_feasible_bits() {
+    /// A calibrated tiny network, its data and generous input formats
+    /// (so weights dominate the error).
+    fn setup(kind: ModelKind, seed: u64) -> (Network, Dataset, HashMap<NodeId, FixedPointFormat>) {
         let scale = ModelScale::tiny();
-        let mut net = ModelKind::AlexNet.build(&scale, 131);
+        let mut net = kind.build(&scale, seed);
         let spec = DatasetSpec::new(scale.classes, 3, scale.input_hw, scale.input_hw);
-        let data = Dataset::generate(&spec, 132, 32);
+        let data = Dataset::generate(&spec, seed + 1, 32);
         calibrate_head(&mut net, &data, 0.1).unwrap();
-
-        // Generous input formats so weights dominate the error.
-        let formats: HashMap<NodeId, FixedPointFormat> = net
+        let formats = net
             .dot_product_layers()
             .into_iter()
             .map(|l| (l, FixedPointFormat::new(12, 10)))
             .collect();
-        let (bits, acc) =
-            search_weight_bits(&net, &data, AccuracyMode::FpAgreement, &formats, 0.9, 2, 16);
+        (net, data, formats)
+    }
+
+    /// What the search must return, read off a direct scan of every
+    /// width from `max_bits` down: the narrowest width of the passing
+    /// run, or `max_bits` with its accuracy when even that fails.
+    fn scanned(
+        net: &Network,
+        ev: &AccuracyEvaluator<'_>,
+        formats: &HashMap<NodeId, FixedPointFormat>,
+        target: f64,
+        min_bits: u32,
+        max_bits: u32,
+    ) -> (u32, u64) {
+        let scan: Vec<(u32, f64)> = (min_bits..=max_bits)
+            .rev()
+            .map(|b| {
+                let q = net.with_quantized_weights(b);
+                (b, ev.accuracy_of_network_with_formats(&q, formats))
+            })
+            .collect();
+        let passing = scan.iter().take_while(|(_, acc)| *acc >= target).last();
+        let (bits, acc) = passing.copied().unwrap_or(scan[0]);
+        (bits, acc.to_bits())
+    }
+
+    fn searched(
+        net: &Network,
+        ev: &AccuracyEvaluator<'_>,
+        formats: &HashMap<NodeId, FixedPointFormat>,
+        target: f64,
+        min_bits: u32,
+        max_bits: u32,
+    ) -> (u32, u64) {
+        let (bits, acc) = search_weight_bits(net, ev, formats, target, min_bits, max_bits);
+        (bits, acc.to_bits())
+    }
+
+    #[test]
+    fn weight_search_returns_feasible_bits() {
+        let (net, data, formats) = setup(ModelKind::AlexNet, 131);
+        let ev = AccuracyEvaluator::new(&net, &data, AccuracyMode::FpAgreement);
+        let (bits, acc) = search_weight_bits(&net, &ev, &formats, 0.9, 2, 16);
+        assert_eq!(
+            (bits, acc.to_bits()),
+            scanned(&net, &ev, &formats, 0.9, 2, 16)
+        );
         assert!((2..=16).contains(&bits));
         assert!(
             acc >= 0.9 || bits == 16,
@@ -114,27 +130,21 @@ mod tests {
 
     #[test]
     fn lower_target_allows_fewer_weight_bits() {
-        let scale = ModelScale::tiny();
-        let mut net = ModelKind::Nin.build(&scale, 133);
-        let spec = DatasetSpec::new(scale.classes, 3, scale.input_hw, scale.input_hw);
-        let data = Dataset::generate(&spec, 134, 32);
-        calibrate_head(&mut net, &data, 0.1).unwrap();
-        let formats: HashMap<NodeId, FixedPointFormat> = net
-            .dot_product_layers()
-            .into_iter()
-            .map(|l| (l, FixedPointFormat::new(12, 10)))
-            .collect();
-        let (loose_bits, _) =
-            search_weight_bits(&net, &data, AccuracyMode::FpAgreement, &formats, 0.7, 1, 16);
-        let (tight_bits, _) = search_weight_bits(
-            &net,
-            &data,
-            AccuracyMode::FpAgreement,
-            &formats,
-            0.99,
-            1,
-            16,
-        );
-        assert!(loose_bits <= tight_bits, "{loose_bits} > {tight_bits}");
+        let (net, data, formats) = setup(ModelKind::Nin, 133);
+        let ev = AccuracyEvaluator::new(&net, &data, AccuracyMode::FpAgreement);
+        let loose = searched(&net, &ev, &formats, 0.7, 1, 16);
+        let tight = searched(&net, &ev, &formats, 0.99, 1, 16);
+        assert_eq!(loose, scanned(&net, &ev, &formats, 0.7, 1, 16));
+        assert_eq!(tight, scanned(&net, &ev, &formats, 0.99, 1, 16));
+        assert!(loose.0 <= tight.0, "{} > {}", loose.0, tight.0);
+    }
+
+    #[test]
+    fn unreachable_target_reports_max_bits_and_its_accuracy() {
+        let (net, data, formats) = setup(ModelKind::AlexNet, 131);
+        let ev = AccuracyEvaluator::new(&net, &data, AccuracyMode::FpAgreement);
+        let got = searched(&net, &ev, &formats, 1.5, 2, 12);
+        assert_eq!(got, scanned(&net, &ev, &formats, 1.5, 2, 12));
+        assert_eq!(got.0, 12);
     }
 }

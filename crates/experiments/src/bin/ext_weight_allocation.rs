@@ -9,8 +9,7 @@
 //! uniform-width search at the same accuracy floor.
 
 use mupod_core::{
-    profile_weights, search_weight_bits, AccuracyEvaluator, AccuracyMode, Objective,
-    PrecisionOptimizer, ProfileConfig,
+    profile_weights, search_weight_bits, Objective, PrecisionOptimizer, ProfileConfig,
 };
 use mupod_experiments::{f, markdown_table, pct, prepare, ExperimentError, RunSize};
 use mupod_models::ModelKind;
@@ -28,21 +27,22 @@ fn run() -> Result<(), ExperimentError> {
     let prepared = prepare(ModelKind::Nin, &size)?;
     let net = &prepared.net;
     let layers = ModelKind::Nin.analyzable_layers(net);
-    let ev = AccuracyEvaluator::new(net, &prepared.eval, AccuracyMode::FpAgreement);
-    let loss = 0.035;
-    let target = ev.fp_accuracy() * (1.0 - loss);
 
     // Input formats from the standard pipeline (held fixed below).
-    let input_opt = PrecisionOptimizer::new(net, &prepared.eval)
+    let prep = PrecisionOptimizer::new(net, &prepared.eval)
         .layers(layers.clone())
-        .relative_accuracy_loss(loss)
+        .relative_accuracy_loss(0.035)
         .profile_config(ProfileConfig {
             n_deltas: size.n_deltas,
             repeats: size.repeats,
             ..Default::default()
         })
         .profile_images(size.profile_images)
-        .run(Objective::Bandwidth)
+        .prepare()
+        .map_err(|e| ExperimentError::Optimize(format!("input optimization: {e}")))?;
+    let (ev, target) = (&prep.evaluator, prep.target);
+    let input_opt = prep
+        .allocate(&Objective::Bandwidth)
         .map_err(|e| ExperimentError::Optimize(format!("input optimization: {e}")))?;
     let input_formats: HashMap<_, _> = layers
         .iter()
@@ -51,15 +51,7 @@ fn run() -> Result<(), ExperimentError> {
         .collect();
 
     // Baseline: §V-E uniform weight search.
-    let (uniform_w, uniform_acc) = search_weight_bits(
-        net,
-        &prepared.eval,
-        AccuracyMode::FpAgreement,
-        &input_formats,
-        target,
-        2,
-        16,
-    );
+    let (uniform_w, uniform_acc) = search_weight_bits(net, ev, &input_formats, target, 2, 16);
 
     // Extension: per-layer analytical weight allocation.
     let n_images = size.profile_images.min(prepared.eval.len());

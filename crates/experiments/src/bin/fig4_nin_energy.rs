@@ -8,11 +8,10 @@
 //! per-layer energies, and both totals.
 
 use mupod_baselines::uniform_search;
-use mupod_core::{AccuracyEvaluator, AccuracyMode, Objective, PrecisionOptimizer, ProfileConfig};
+use mupod_core::{Objective, PrecisionOptimizer, ProfileConfig};
 use mupod_experiments::{f, find_layer, markdown_table, pct, prepare, ExperimentError, RunSize};
 use mupod_hw::{bandwidth, MacEnergyModel};
 use mupod_models::ModelKind;
-use mupod_nn::inventory::LayerInventory;
 
 fn main() {
     mupod_experiments::exit_on_error(run());
@@ -24,24 +23,24 @@ fn run() -> Result<(), ExperimentError> {
     let prepared = prepare(ModelKind::Nin, &size)?;
     let net = &prepared.net;
     let layers = ModelKind::Nin.analyzable_layers(net);
-    let inventory = LayerInventory::measure(net, prepared.eval.images().iter().cloned());
-    let ev = AccuracyEvaluator::new(net, &prepared.eval, AccuracyMode::FpAgreement);
     // The paper uses NiN at a 3.5% accuracy target (footnote 1: Stripes'
     // own NiN bitwidths lose 3.5%, so they matched it).
-    let loss = 0.035;
-    let target = ev.fp_accuracy() * (1.0 - loss);
-
-    let base = uniform_search(&ev, &inventory, &layers, target, 16);
-    let opt = PrecisionOptimizer::new(net, &prepared.eval)
+    let prep = PrecisionOptimizer::new(net, &prepared.eval)
         .layers(layers.clone())
-        .relative_accuracy_loss(loss)
+        .relative_accuracy_loss(0.035)
         .profile_config(ProfileConfig {
             n_deltas: size.n_deltas,
             repeats: size.repeats,
             ..Default::default()
         })
         .profile_images(size.profile_images)
-        .run(Objective::MacEnergy)
+        .prepare()
+        .map_err(|e| ExperimentError::Optimize(format!("mac optimization: {e}")))?;
+    let inventory = &prep.inventory;
+
+    let base = uniform_search(&prep.evaluator, inventory, &layers, prep.target, 16);
+    let opt = prep
+        .allocate(&Objective::MacEnergy)
         .map_err(|e| ExperimentError::Optimize(format!("mac optimization: {e}")))?;
 
     let model = MacEnergyModel::dwip_40nm();
@@ -49,7 +48,7 @@ fn run() -> Result<(), ExperimentError> {
     let mut macs: Vec<u64> = Vec::with_capacity(layers.len());
     let mut inputs: Vec<u64> = Vec::with_capacity(layers.len());
     for &id in &layers {
-        let info = find_layer(&inventory, id)?;
+        let info = find_layer(inventory, id)?;
         macs.push(info.macs);
         inputs.push(info.input_elems);
     }
@@ -62,7 +61,7 @@ fn run() -> Result<(), ExperimentError> {
     for k in 0..layers.len() {
         rows.push(vec![
             format!("{}", k + 1),
-            find_layer(&inventory, layers[k])?.name.clone(),
+            find_layer(inventory, layers[k])?.name.clone(),
             format!("{:.2}", macs[k] as f64 / 1e6),
             base_bits[k].to_string(),
             opt_bits[k].to_string(),

@@ -10,10 +10,9 @@
 //! traffic saving and 9.5 % MAC-bit saving over its baseline.
 
 use mupod_baselines::greedy_search;
-use mupod_core::{AccuracyEvaluator, AccuracyMode, Objective, PrecisionOptimizer, ProfileConfig};
+use mupod_core::{Objective, PrecisionOptimizer, ProfileConfig};
 use mupod_experiments::{find_layer, markdown_table, pct, prepare, ExperimentError, RunSize};
 use mupod_models::ModelKind;
-use mupod_nn::inventory::LayerInventory;
 
 fn main() {
     mupod_experiments::exit_on_error(run());
@@ -25,22 +24,9 @@ fn run() -> Result<(), ExperimentError> {
     let prepared = prepare(ModelKind::AlexNet, &size)?;
     let net = &prepared.net;
     let layers = ModelKind::AlexNet.analyzable_layers(net);
-    let inventory = LayerInventory::measure(net, prepared.eval.images().iter().cloned());
-    let infos: Vec<_> = layers
-        .iter()
-        .map(|&id| find_layer(&inventory, id).cloned())
-        .collect::<Result<_, _>>()?;
-    let ev = AccuracyEvaluator::new(net, &prepared.eval, AccuracyMode::FpAgreement);
-    let target = ev.fp_accuracy() * 0.99;
-
-    // Baseline: Stripes-style greedy search (the paper's baseline row is
-    // Stripes' published search result).
-    let rho_inputs: Vec<f64> = infos.iter().map(|i| i.input_elems as f64).collect();
-    let baseline = greedy_search(&ev, &inventory, &layers, &rho_inputs, target, 16);
-    let base_bits = baseline.allocation.bits();
-
-    // Optimized rows.
-    let optimizer = PrecisionOptimizer::new(net, &prepared.eval)
+    // One profile, evaluator and σ serve the baseline and both
+    // optimized rows.
+    let opt = PrecisionOptimizer::new(net, &prepared.eval)
         .layers(layers.clone())
         .relative_accuracy_loss(0.01)
         .profile_config(ProfileConfig {
@@ -48,15 +34,34 @@ fn run() -> Result<(), ExperimentError> {
             repeats: size.repeats,
             ..Default::default()
         })
-        .profile_images(size.profile_images);
-    let opt_input = optimizer
-        .run(Objective::Bandwidth)
+        .profile_images(size.profile_images)
+        .prepare()
+        .map_err(|e| ExperimentError::Optimize(format!("prepare: {e}")))?;
+    let infos: Vec<_> = layers
+        .iter()
+        .map(|&id| find_layer(&opt.inventory, id).cloned())
+        .collect::<Result<_, _>>()?;
+    let target = opt.target;
+
+    // Baseline: Stripes-style greedy search (the paper's baseline row is
+    // Stripes' published search result).
+    let rho_inputs: Vec<f64> = infos.iter().map(|i| i.input_elems as f64).collect();
+    let baseline = greedy_search(
+        &opt.evaluator,
+        &opt.inventory,
+        &layers,
+        &rho_inputs,
+        target,
+        16,
+    );
+    let base_bits = baseline.allocation.bits();
+
+    // Optimized rows.
+    let opt_input = opt
+        .allocate(&Objective::Bandwidth)
         .map_err(|e| ExperimentError::Optimize(format!("input objective: {e}")))?;
-    let opt_mac = PrecisionOptimizer::new(net, &prepared.eval)
-        .layers(layers.clone())
-        .relative_accuracy_loss(0.01)
-        .with_profile(opt_input.profile.clone())
-        .run(Objective::MacEnergy)
+    let opt_mac = opt
+        .allocate(&Objective::MacEnergy)
         .map_err(|e| ExperimentError::Optimize(format!("mac objective: {e}")))?;
 
     let input_bits_of = |bits: &[u32]| -> Vec<f64> {

@@ -18,16 +18,12 @@
 //! `--quick` for a smoke-sized run.
 
 use mupod_baselines::uniform_search;
-use mupod_core::{
-    search_weight_bits, AccuracyEvaluator, AccuracyMode, Objective, PrecisionOptimizer, Profile,
-    ProfileConfig, Profiler,
-};
+use mupod_core::{search_weight_bits, Objective, OptimizeError, PrecisionOptimizer, ProfileConfig};
 use mupod_experiments::{
     f, find_layer, markdown_table, pct, prepare, ExperimentError, Prepared, RunSize,
 };
 use mupod_hw::{bandwidth, MacEnergyModel};
 use mupod_models::ModelKind;
-use mupod_nn::inventory::LayerInventory;
 use mupod_quant::FixedPointFormat;
 use std::collections::HashMap;
 
@@ -74,95 +70,89 @@ fn parse_filter() -> Result<(Vec<ModelKind>, Vec<f64>), ExperimentError> {
     Ok((kinds, losses))
 }
 
-/// One prepared network plus everything loss-independent.
-struct NetContext {
-    prepared: Prepared,
-    layers: Vec<mupod_nn::NodeId>,
+/// One prepared network plus everything objective-independent: one
+/// profile, inventory and evaluator serve every loss budget, and the
+/// current budget's σ serves both objectives.
+struct NetContext<'a> {
+    prepared: &'a Prepared,
     inputs: Vec<u64>,
     macs: Vec<u64>,
     rho_in: Vec<f64>,
     rho_mac: Vec<f64>,
-    profile: Profile,
+    opt: mupod_core::Prepared<'a>,
 }
 
-fn build_context(kind: ModelKind, size: &RunSize) -> Result<NetContext, ExperimentError> {
-    eprintln!("[{kind}: preparing]");
-    let prepared = prepare(kind, size)?;
+fn build_context<'a>(
+    prepared: &'a Prepared,
+    loss: f64,
+    size: &RunSize,
+) -> Result<NetContext<'a>, ExperimentError> {
+    let kind = prepared.kind;
     let layers = kind.analyzable_layers(&prepared.net);
-    let inventory = LayerInventory::measure(&prepared.net, prepared.eval.images().iter().cloned());
-    let mut inputs: Vec<u64> = Vec::with_capacity(layers.len());
-    let mut macs: Vec<u64> = Vec::with_capacity(layers.len());
-    for &id in &layers {
-        let info = find_layer(&inventory, id)?;
-        inputs.push(info.input_elems);
-        macs.push(info.macs);
-    }
     eprintln!("[{kind}: profiling {} layers]", layers.len());
-    let n_images = size.profile_images.min(prepared.eval.len());
-    let mut profile = Profiler::new(&prepared.net, &prepared.eval.images()[..n_images])
-        .with_config(ProfileConfig {
+    let opt = PrecisionOptimizer::new(&prepared.net, &prepared.eval)
+        .layers(layers)
+        .relative_accuracy_loss(loss)
+        .profile_config(ProfileConfig {
             n_deltas: size.n_deltas,
             repeats: size.repeats,
             ..Default::default()
         })
-        .profile(&layers)
-        .map_err(|e| ExperimentError::Profile(format!("{kind}: {e}")))?;
-    profile.update_ranges(inventory);
+        .profile_images(size.profile_images)
+        .prepare()
+        .map_err(|e| match e {
+            OptimizeError::Profile(e) => ExperimentError::Profile(format!("{kind}: {e}")),
+            e => ExperimentError::Optimize(format!("{kind}: {e}")),
+        })?;
+    let mut inputs: Vec<u64> = Vec::with_capacity(opt.layers.len());
+    let mut macs: Vec<u64> = Vec::with_capacity(opt.layers.len());
+    for &id in &opt.layers {
+        let info = find_layer(&opt.inventory, id)?;
+        inputs.push(info.input_elems);
+        macs.push(info.macs);
+    }
     Ok(NetContext {
         rho_in: inputs.iter().map(|&v| v as f64).collect(),
         rho_mac: macs.iter().map(|&v| v as f64).collect(),
         prepared,
-        layers,
         inputs,
         macs,
-        profile,
+        opt,
     })
 }
 
 fn row_for(
-    ctx: &NetContext,
+    ctx: &NetContext<'_>,
     loss: f64,
-    size: &RunSize,
     energy_model: &MacEnergyModel,
 ) -> Result<Row, ExperimentError> {
     let kind = ctx.prepared.kind;
-    let net = &ctx.prepared.net;
-    let inventory = LayerInventory::measure(net, ctx.prepared.eval.images().iter().cloned());
-    let ev = AccuracyEvaluator::new(net, &ctx.prepared.eval, AccuracyMode::FpAgreement);
-    let target = ev.fp_accuracy() * (1.0 - loss);
+    let opt = &ctx.opt;
 
     eprintln!("[{kind}: uniform baseline @ {:.0}%]", loss * 100.0);
-    let base = uniform_search(&ev, &inventory, &ctx.layers, target, 16);
+    let base = uniform_search(&opt.evaluator, &opt.inventory, &opt.layers, opt.target, 16);
     let base_bits = base.allocation.bits();
 
     eprintln!("[{kind}: optimizing @ {:.0}%]", loss * 100.0);
-    let oi = PrecisionOptimizer::new(net, &ctx.prepared.eval)
-        .layers(ctx.layers.clone())
-        .relative_accuracy_loss(loss)
-        .with_profile(ctx.profile.clone())
-        .profile_images(size.profile_images)
-        .run(Objective::Bandwidth)
+    let oi = opt
+        .allocate(&Objective::Bandwidth)
         .map_err(|e| ExperimentError::Optimize(format!("{kind} bandwidth: {e}")))?;
-    let om = PrecisionOptimizer::new(net, &ctx.prepared.eval)
-        .layers(ctx.layers.clone())
-        .relative_accuracy_loss(loss)
-        .with_profile(ctx.profile.clone())
-        .run(Objective::MacEnergy)
+    let om = opt
+        .allocate(&Objective::MacEnergy)
         .map_err(|e| ExperimentError::Optimize(format!("{kind} mac energy: {e}")))?;
 
     eprintln!("[{kind}: weight search @ {:.0}%]", loss * 100.0);
-    let formats: HashMap<_, FixedPointFormat> = ctx
+    let formats: HashMap<_, FixedPointFormat> = opt
         .layers
         .iter()
         .zip(oi.allocation.layers())
         .map(|(&id, lf)| (id, lf.format))
         .collect();
     let (weight_bits, _) = search_weight_bits(
-        net,
-        &ctx.prepared.eval,
-        AccuracyMode::FpAgreement,
+        &ctx.prepared.net,
+        &opt.evaluator,
         &formats,
-        target,
+        opt.target,
         2,
         16,
     );
@@ -178,7 +168,7 @@ fn row_for(
 
     Ok(Row {
         name: kind.name().to_string(),
-        layers: ctx.layers.len(),
+        layers: opt.layers.len(),
         weight_bits,
         base_input_eff: eff(&base_bits, &ctx.rho_in),
         base_mac_eff: eff(&base_bits, &ctx.rho_mac),
@@ -205,18 +195,33 @@ fn run() -> Result<(), ExperimentError> {
         rep,
         "# EXP-T3: effective bitwidths across networks (Table III)"
     );
-    let contexts: Vec<NetContext> = kinds
+    let nets: Vec<Prepared> = kinds
         .iter()
-        .map(|&k| build_context(k, &size))
+        .map(|&k| {
+            eprintln!("[{k}: preparing]");
+            prepare(k, &size)
+        })
+        .collect::<Result<_, _>>()?;
+    let mut contexts: Vec<NetContext<'_>> = nets
+        .iter()
+        .map(|p| build_context(p, losses[0], &size))
         .collect::<Result<_, _>>()?;
 
-    for loss in &losses {
+    for (l, &loss) in losses.iter().enumerate() {
         mupod_experiments::report!(rep);
         mupod_experiments::report!(rep, "## {:.0}% relative accuracy drop", loss * 100.0);
         mupod_experiments::report!(rep);
         let rows: Vec<Row> = contexts
-            .iter()
-            .map(|ctx| row_for(ctx, *loss, &size, &energy_model))
+            .iter_mut()
+            .map(|ctx| {
+                if l > 0 {
+                    let kind = ctx.prepared.kind;
+                    ctx.opt
+                        .rebudget(loss)
+                        .map_err(|e| ExperimentError::Optimize(format!("{kind}: {e}")))?;
+                }
+                row_for(ctx, loss, &energy_model)
+            })
             .collect::<Result<_, _>>()?;
 
         let table: Vec<Vec<String>> = rows

@@ -41,7 +41,7 @@ pub(crate) type AdminResponse = (u16, &'static str, Vec<u8>);
 /// `stop` turns true, serving each connection on its own scoped
 /// thread. `respond` maps a request path to an [`AdminResponse`]
 /// (`None` → 404). Every handler is bounded by [`READ_TIMEOUT`], so
-/// the final join is too. The listener must already be nonblocking.
+/// the final join is too. The listener must come from [`listen::bind`].
 pub(crate) fn run_admin(
     listener: &TcpListener,
     stop: &dyn Fn() -> bool,
@@ -242,9 +242,8 @@ mod tests {
     #[test]
     fn stalled_half_written_request_cannot_starve_the_listener() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
+        let (listener, _, bound) = listen::bind("127.0.0.1:0", None).unwrap();
+        let addr = bound.addr;
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let (listener, stop) = (&listener, &stop);
@@ -289,9 +288,8 @@ mod tests {
     #[test]
     fn oversized_request_head_is_rejected() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
+        let (listener, _, bound) = listen::bind("127.0.0.1:0", None).unwrap();
+        let addr = bound.addr;
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let (listener, stop) = (&listener, &stop);

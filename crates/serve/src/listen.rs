@@ -1,10 +1,11 @@
 //! The listener skeleton the shard, the router and both admin planes
 //! share: binding, the accept loop, and the per-connection frame loop.
 //!
-//! Every listener is nonblocking and polled, so each loop re-checks its
-//! stop condition at least every [`POLL`]; every connection runs on its
-//! own scoped thread, so one slow peer delays only itself, and the
-//! accept loop returns only once every connection thread has ended.
+//! Every accept waits at most [`POLL`], so each loop re-checks its stop
+//! condition at least that often; on Linux the wait ends the moment a
+//! connection arrives. Every connection runs on its own scoped thread,
+//! so one slow peer delays only itself, and the accept loop returns
+//! only once every connection thread has ended.
 
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -23,15 +24,15 @@ const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Binds the frame listener on `addr` and, when given, the admin
-/// listener on `admin`, both nonblocking. An error names the address
-/// that failed.
+/// listener on `admin`, each with its accept wait bounded. An error
+/// names the address that failed.
 pub(crate) fn bind(
     addr: &str,
     admin: Option<&str>,
 ) -> Result<(TcpListener, Option<TcpListener>, Bound), (String, std::io::Error)> {
     let one = |addr: &str| {
         let bound = TcpListener::bind(addr).and_then(|l| {
-            l.set_nonblocking(true)?;
+            bound_accept_wait(&l)?;
             Ok((l.local_addr()?, l))
         });
         bound.map_err(|e| (addr.to_string(), e))
@@ -45,11 +46,29 @@ pub(crate) fn bind(
     Ok((listener, admin.map(|(_, l)| l), bound))
 }
 
-/// Accepts on `listener` until `stop()` holds, serving each connection
-/// with `serve` on its own thread; then calls `drain()` and returns once
-/// every connection has ended. `connections` names the obs counter of
-/// accepted connections and `accept_error` the event logged when an
-/// accept fails.
+/// Bounds each `accept` on `listener` at [`POLL`]. On Linux the
+/// socket's receive timeout bounds `accept`, which still returns the
+/// moment a connection arrives; the option belongs to the socket, so a
+/// second handle can set it.
+#[cfg(target_os = "linux")]
+fn bound_accept_wait(listener: &TcpListener) -> std::io::Result<()> {
+    let handle = TcpStream::from(std::os::fd::OwnedFd::from(listener.try_clone()?));
+    handle.set_read_timeout(Some(POLL))
+}
+
+/// Bounds each `accept` on `listener` at [`POLL`]: elsewhere the receive
+/// timeout need not apply to `accept`, so the listener is polled
+/// nonblocking, [`POLL`] apart.
+#[cfg(not(target_os = "linux"))]
+fn bound_accept_wait(listener: &TcpListener) -> std::io::Result<()> {
+    listener.set_nonblocking(true)
+}
+
+/// Accepts on a [`bind`] listener until `stop()` holds, serving each
+/// connection with `serve` on its own thread; then calls `drain()` and
+/// returns once every connection has ended. `connections` names the
+/// obs counter of accepted connections and `accept_error` the event
+/// logged when an accept fails.
 pub(crate) fn accept_loop(
     listener: &TcpListener,
     stop: &dyn Fn() -> bool,
@@ -65,7 +84,15 @@ pub(crate) fn accept_loop(
                     mupod_obs::counter_add(connections, 1);
                     s.spawn(move || serve(stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+                // The accept wait lapsed with no connection.
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if cfg!(not(target_os = "linux")) {
+                        std::thread::sleep(POLL);
+                    }
+                }
                 Err(e) => {
                     mupod_obs::event(
                         mupod_obs::Level::Warn,

@@ -17,13 +17,10 @@
 //! ```
 
 use mupod::baselines::uniform_search;
-use mupod::core::{
-    search_weight_bits, AccuracyEvaluator, AccuracyMode, Objective, PrecisionOptimizer,
-};
+use mupod::core::{search_weight_bits, Objective, PrecisionOptimizer};
 use mupod::data::{Dataset, DatasetSpec};
 use mupod::hw::{bandwidth, BitSerialModel, MacEnergyModel};
 use mupod::models::{calibrate::calibrate_head, ModelKind, ModelScale};
-use mupod::nn::inventory::LayerInventory;
 use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,16 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     calibrate_head(&mut net, &calib, 0.1)?;
 
     let layers = ModelKind::SqueezeNet.analyzable_layers(&net);
-    let inventory = LayerInventory::measure(&net, eval.images().iter().cloned());
-    let ev = AccuracyEvaluator::new(&net, &eval, AccuracyMode::FpAgreement);
-    let target = ev.fp_accuracy() * 0.95;
-
-    // Baseline and optimized allocations at the same 5% budget.
-    let base = uniform_search(&ev, &inventory, &layers, target, 16);
-    let opt = PrecisionOptimizer::new(&net, &eval)
+    let prepared = PrecisionOptimizer::new(&net, &eval)
         .layers(layers.clone())
         .relative_accuracy_loss(0.05)
-        .run(Objective::MacEnergy)?;
+        .prepare()?;
+    let (inventory, target) = (&prepared.inventory, prepared.target);
+
+    // Baseline and optimized allocations at the same 5% budget.
+    let base = uniform_search(&prepared.evaluator, inventory, &layers, target, 16);
+    let opt = prepared.allocate(&Objective::MacEnergy)?;
 
     // §V-E weight search on top of the optimized inputs.
     let formats: HashMap<_, _> = layers
@@ -52,15 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .zip(opt.allocation.layers())
         .map(|(&id, lf)| (id, lf.format))
         .collect();
-    let (weight_bits, w_acc) = search_weight_bits(
-        &net,
-        &eval,
-        AccuracyMode::FpAgreement,
-        &formats,
-        target,
-        2,
-        16,
-    );
+    let (weight_bits, w_acc) =
+        search_weight_bits(&net, &prepared.evaluator, &formats, target, 2, 16);
     println!("weight bitwidth W = {weight_bits} (accuracy with W and inputs reduced: {w_acc:.3})");
 
     let macs: Vec<u64> = layers

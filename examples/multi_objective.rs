@@ -1,8 +1,8 @@
 //! Multi-objective optimization: one profile, many hardware criteria.
 //!
-//! Demonstrates the workflow the paper highlights in §VI-A: profiling is
-//! done once, then "changing the user constraints only requires
-//! re-running the last optimization step". The example optimizes NiN for
+//! Demonstrates the workflow the paper highlights in §VI-A: profiling
+//! and the σ-search are done once, then "changing the user constraints
+//! only requires re-running the last optimization step". The example optimizes NiN for
 //! three different criteria — input bandwidth, MAC energy, and a custom
 //! objective that only weights the expensive spatial convolutions — and
 //! compares the resulting allocations on both cost models.
@@ -15,7 +15,6 @@ use mupod::core::{Objective, PrecisionOptimizer};
 use mupod::data::{Dataset, DatasetSpec};
 use mupod::hw::{bandwidth, MacEnergyModel};
 use mupod::models::{calibrate::calibrate_head, ModelKind, ModelScale};
-use mupod::nn::inventory::LayerInventory;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = ModelScale::small();
@@ -26,28 +25,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     calibrate_head(&mut net, &calib, 0.1)?;
 
     let layers = ModelKind::Nin.analyzable_layers(&net);
-    let inventory = LayerInventory::measure(&net, eval.images().iter().cloned());
-    let macs: Vec<u64> = layers
-        .iter()
-        .map(|&id| inventory.find(id).unwrap().macs)
-        .collect();
-    let inputs: Vec<u64> = layers
-        .iter()
-        .map(|&id| inventory.find(id).unwrap().input_elems)
-        .collect();
-
-    // Profile once (the expensive stage)...
-    let first = PrecisionOptimizer::new(&net, &eval)
+    // Profile and search σ once (the expensive stages)...
+    let prepared = PrecisionOptimizer::new(&net, &eval)
         .layers(layers.clone())
         .relative_accuracy_loss(0.035)
-        .run(Objective::Bandwidth)?;
+        .prepare()?;
     println!(
         "profiled {} layers; σ_YŁ = {:.4}",
         layers.len(),
-        first.sigma.sigma
+        prepared.sigma.sigma
     );
+    let macs: Vec<u64> = layers
+        .iter()
+        .map(|&id| prepared.inventory.find(id).unwrap().macs)
+        .collect();
+    let inputs: Vec<u64> = layers
+        .iter()
+        .map(|&id| prepared.inventory.find(id).unwrap().input_elems)
+        .collect();
 
-    // ...then re-optimize for each criterion from the cached profile.
+    // ...then allocate for each criterion from the same preparation.
     // A custom ρ: only spatial (non-1x1) convolutions matter.
     let custom_rho: Vec<f64> = layers
         .iter()
@@ -70,11 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "objective", "bits per layer", "input kbits", "energy µJ"
     );
     for (name, objective) in objectives {
-        let result = PrecisionOptimizer::new(&net, &eval)
-            .layers(layers.clone())
-            .relative_accuracy_loss(0.035)
-            .with_profile(first.profile.clone())
-            .run(objective)?;
+        let result = prepared.allocate(&objective)?;
         let bits = result.allocation.bits();
         let traffic = bandwidth::total_input_bits(&inputs, &bits) / 1e3;
         let energy = model.network_energy(&macs, &bits, 8) / 1e6;

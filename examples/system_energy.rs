@@ -21,7 +21,6 @@ use mupod::data::{Dataset, DatasetSpec};
 use mupod::hw::memory::{system_energy, MemoryEnergyModel};
 use mupod::hw::MacEnergyModel;
 use mupod::models::{calibrate::calibrate_head, ModelKind, ModelScale};
-use mupod::nn::inventory::LayerInventory;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = ModelScale::small();
@@ -33,14 +32,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     calibrate_head(&mut net, &calib, 0.1)?;
 
     let layers = ModelKind::SqueezeNet.analyzable_layers(&net);
-    let inventory = LayerInventory::measure(&net, eval.images().iter().cloned());
+    let prepared = PrecisionOptimizer::new(&net, &eval)
+        .layers(layers.clone())
+        .relative_accuracy_loss(0.05)
+        .prepare()?;
     let inputs: Vec<u64> = layers
         .iter()
-        .map(|&id| inventory.find(id).unwrap().input_elems)
+        .map(|&id| prepared.inventory.find(id).unwrap().input_elems)
         .collect();
     let macs: Vec<u64> = layers
         .iter()
-        .map(|&id| inventory.find(id).unwrap().macs)
+        .map(|&id| prepared.inventory.find(id).unwrap().macs)
         .collect();
 
     let mac_model = MacEnergyModel::dwip_40nm();
@@ -61,21 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    let loss = 0.05;
-    let base = PrecisionOptimizer::new(&net, &eval)
-        .layers(layers.clone())
-        .relative_accuracy_loss(loss);
-    let bw = base.run(Objective::Bandwidth)?;
-    let mac = PrecisionOptimizer::new(&net, &eval)
-        .layers(layers.clone())
-        .relative_accuracy_loss(loss)
-        .with_profile(bw.profile.clone())
-        .run(Objective::MacEnergy)?;
-    let sys = PrecisionOptimizer::new(&net, &eval)
-        .layers(layers.clone())
-        .relative_accuracy_loss(loss)
-        .with_profile(bw.profile.clone())
-        .run(Objective::Custom(rho))?;
+    let bw = prepared.allocate(&Objective::Bandwidth)?;
+    let mac = prepared.allocate(&Objective::MacEnergy)?;
+    let sys = prepared.allocate(&Objective::Custom(rho))?;
 
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>10}",

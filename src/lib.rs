@@ -49,6 +49,15 @@
 //! for (fmt, bits) in result.allocation.layers().iter().zip(result.allocation.bits()) {
 //!     println!("{:>8}  {}  ({} bits)", fmt.layer, fmt.format, bits);
 //! }
+//!
+//! // Several objectives at one budget: profile and search σ once.
+//! let prepared = PrecisionOptimizer::new(&net, &data)
+//!     .layers(ModelKind::AlexNet.analyzable_layers(&net))
+//!     .relative_accuracy_loss(0.01)
+//!     .prepare()
+//!     .unwrap();
+//! let mac = prepared.allocate(&Objective::MacEnergy).unwrap();
+//! println!("σ_YŁ {:.4}, MAC-optimal bits {:?}", prepared.sigma.sigma, mac.allocation.bits());
 //! ```
 //!
 //! See `DESIGN.md` for the substitution table (what stands in for
