@@ -67,13 +67,7 @@ fn bench_sigma_search(c: &mut Criterion) {
         ("scheme2_gaussian", SearchScheme::GaussianApprox),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| {
-                SigmaSearch {
-                    scheme,
-                    ..Default::default()
-                }
-                .search(&profile, &ev, 0.9)
-            })
+            b.iter(|| SigmaSearch { scheme }.search(&profile, &ev, 0.9))
         });
     }
     group.finish();

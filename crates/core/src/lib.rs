@@ -68,8 +68,7 @@ pub use error::CoreError;
 pub use eval::{AccuracyEvaluator, AccuracyMode};
 pub use optimizer::{OptimizeError, OptimizeResult, PrecisionOptimizer, Prepared};
 pub use profile::{
-    FallbackReason, GuardConfig, LayerProfile, Profile, ProfileConfig, ProfileError, Profiler,
-    ProgressFn,
+    FallbackReason, LayerProfile, Profile, ProfileConfig, ProfileError, Profiler, ProgressFn,
 };
 pub use profile_io::{JournalError, JournalSummary, ProfileIoError};
 pub use search::{SearchOutcome, SearchScheme, SigmaSearch};

@@ -94,13 +94,8 @@ impl OptimizeResult {
         );
         let _ = writeln!(
             out,
-            "* accuracy: fp {:.4} -> quantized {}",
-            self.fp_accuracy,
-            if self.validated_accuracy.is_nan() {
-                "(not validated)".to_string()
-            } else {
-                format!("{:.4}", self.validated_accuracy)
-            }
+            "* accuracy: fp {:.4} -> quantized {:.4}",
+            self.fp_accuracy, self.validated_accuracy
         );
         let _ = writeln!(out);
         let _ = writeln!(out, "| layer | format | bits | ξ share | Δ granted |");
@@ -125,20 +120,19 @@ impl OptimizeResult {
 /// Builder-style front door to the framework.
 ///
 /// See the crate-level example. Defaults: profile all dot-product
-/// layers, 1 % relative accuracy loss, Scheme 1 search, fp-agreement
-/// accuracy (the "relative" accuracy the paper's targets refer to),
-/// all images used for both profiling (capped) and evaluation.
+/// layers, 1 % relative accuracy loss, Scheme 1 search, all images used
+/// for both profiling (capped) and evaluation. Accuracy is always
+/// fp agreement (the "relative" accuracy the paper's targets refer to),
+/// and every allocation is validated under true rounding.
 pub struct PrecisionOptimizer<'a> {
     net: &'a Network,
     dataset: &'a Dataset,
     layers: Option<Vec<NodeId>>,
     relative_loss: f64,
     scheme: SearchScheme,
-    mode: AccuracyMode,
     profile_config: ProfileConfig,
     profile_images: usize,
     reuse_profile: Option<Profile>,
-    validate: bool,
     cancel: Option<mupod_runtime::CancelToken>,
 }
 
@@ -147,7 +141,6 @@ impl std::fmt::Debug for PrecisionOptimizer<'_> {
         f.debug_struct("PrecisionOptimizer")
             .field("relative_loss", &self.relative_loss)
             .field("scheme", &self.scheme)
-            .field("mode", &self.mode)
             .field("profile_images", &self.profile_images)
             .finish()
     }
@@ -162,11 +155,9 @@ impl<'a> PrecisionOptimizer<'a> {
             layers: None,
             relative_loss: 0.01,
             scheme: SearchScheme::EqualScheme,
-            mode: AccuracyMode::FpAgreement,
             profile_config: ProfileConfig::default(),
             profile_images: 50,
             reuse_profile: None,
-            validate: true,
             cancel: None,
         }
     }
@@ -196,12 +187,6 @@ impl<'a> PrecisionOptimizer<'a> {
         self
     }
 
-    /// Chooses the accuracy-label mode.
-    pub fn accuracy_mode(mut self, mode: AccuracyMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Overrides the profiling sweep configuration.
     pub fn profile_config(mut self, config: ProfileConfig) -> Self {
         self.profile_config = config;
@@ -220,13 +205,6 @@ impl<'a> PrecisionOptimizer<'a> {
     /// re-running the last optimization step", §VI-A).
     pub fn with_profile(mut self, profile: Profile) -> Self {
         self.reuse_profile = Some(profile);
-        self
-    }
-
-    /// Disables the final fixed-point validation pass (for speed in
-    /// sweeps; the allocation is still returned).
-    pub fn skip_validation(mut self) -> Self {
-        self.validate = false;
         self
     }
 
@@ -304,7 +282,7 @@ impl<'a> PrecisionOptimizer<'a> {
         let evaluator = AccuracyEvaluator::with_threads_tier(
             self.net,
             self.dataset,
-            self.mode,
+            AccuracyMode::FpAgreement,
             self.profile_config.threads,
             self.profile_config.kernel_tier,
         );
@@ -319,7 +297,6 @@ impl<'a> PrecisionOptimizer<'a> {
             fp_accuracy,
             target,
             scheme: self.scheme,
-            validate: self.validate,
             cancel: self.cancel.clone(),
         })
     }
@@ -333,10 +310,7 @@ fn search_sigma(
     loss: f64,
 ) -> (f64, SearchOutcome) {
     let target = evaluator.fp_accuracy() * (1.0 - loss);
-    let search = SigmaSearch {
-        scheme,
-        ..Default::default()
-    };
+    let search = SigmaSearch { scheme };
     (target, search.search(profile, evaluator, target))
 }
 
@@ -372,7 +346,6 @@ pub struct Prepared<'a> {
     /// The accuracy the allocations must keep.
     pub target: f64,
     scheme: SearchScheme,
-    validate: bool,
     cancel: Option<mupod_runtime::CancelToken>,
 }
 
@@ -421,14 +394,12 @@ impl Prepared<'_> {
                 let _span = mupod_obs::span("optimize.allocate");
                 allocate(&self.profile, sigma_for_alloc, objective, &config)
             };
-            let validated_accuracy = if self.validate {
+            let validated_accuracy = {
                 let _span = mupod_obs::span("optimize.validate");
                 self.evaluator
                     .accuracy_of_allocation(&self.layers, &outcome.allocation)
-            } else {
-                f64::NAN
             };
-            if !self.validate || validated_accuracy + 1e-9 >= self.target - slack {
+            if validated_accuracy + 1e-9 >= self.target - slack {
                 return Ok(OptimizeResult {
                     allocation: outcome.allocation,
                     xi: outcome.xi,
@@ -507,18 +478,19 @@ mod tests {
             .relative_accuracy_loss(0.05)
             .profile_config(quick_config())
             .profile_images(8)
-            .skip_validation()
             .prepare()
             .unwrap();
-        let bw = prepared.allocate(&Objective::Bandwidth).unwrap();
-        let mac = prepared.allocate(&Objective::MacEnergy).unwrap();
+        let sigma = prepared.sigma.sigma.max(1e-6);
+        let config = AllocateConfig::default();
+        let bw = allocate(&prepared.profile, sigma, &Objective::Bandwidth, &config);
+        let mac = allocate(&prepared.profile, sigma, &Objective::MacEnergy, &config);
         // Cross-objective dominance: each allocation must be at least as
         // good as the other's on its own criterion. (On tiny 5-layer
         // networks the discreteness guard can collapse both to the same
         // equal-ξ split, so exact difference is not guaranteed — Table
         // III at experiment scale shows the objectives diverging.)
-        let rho_bw = Objective::Bandwidth.rho(&bw.profile);
-        let rho_mac = Objective::MacEnergy.rho(&bw.profile);
+        let rho_bw = Objective::Bandwidth.rho(&prepared.profile);
+        let rho_mac = Objective::MacEnergy.rho(&prepared.profile);
         // Dominance holds exactly for the continuous ξ optimum; the final
         // allocation rounds each layer to integer bits, which can shift
         // either side by one bit in one layer. Allow exactly that much.
@@ -559,16 +531,21 @@ mod tests {
     fn optimized_beats_equal_scheme_on_objective() {
         let (net, data) = setup();
         let layers = ModelKind::AlexNet.analyzable_layers(&net);
-        let result = PrecisionOptimizer::new(&net, &data)
+        let p = PrecisionOptimizer::new(&net, &data)
             .layers(layers)
             .relative_accuracy_loss(0.05)
             .profile_config(quick_config())
             .profile_images(8)
-            .skip_validation()
-            .run(Objective::Bandwidth)
+            .prepare()
             .unwrap();
-        let equal = crate::allocate::allocate_equal(&result.profile, result.sigma.sigma);
-        let rho = Objective::Bandwidth.rho(&result.profile);
+        let result = allocate(
+            &p.profile,
+            p.sigma.sigma.max(1e-6),
+            &Objective::Bandwidth,
+            &AllocateConfig::default(),
+        );
+        let equal = crate::allocate::allocate_equal(&p.profile, p.sigma.sigma);
+        let rho = Objective::Bandwidth.rho(&p.profile);
         let opt_cost = result.allocation.total_weighted_bits(&rho);
         let equal_cost = equal.allocation.total_weighted_bits(&rho);
         assert!(

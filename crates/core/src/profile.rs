@@ -13,13 +13,16 @@
 //! batched suffix run, so the narrow GEMMs deep in a network fill their
 //! register tiles; the statistics come out bit-identical to replaying
 //! one sample at a time.
+//!
+//! Every pass is swept for NaN/Inf at each layer boundary, and a poisoned
+//! activation is a hard [`ProfileError::NumericalFault`]. A degenerate
+//! fit is recoverable: the layer gets a flagged conservative fallback
+//! ([`FallbackReason`]) that grants it no quantization-noise budget.
 
 use crate::par::Pool;
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::tap::UniformNoiseTap;
-use mupod_nn::{
-    Activations, ExecArena, ExecError, KernelTier, Network, NodeId, Run, ValidateConfig,
-};
+use mupod_nn::{Activations, ExecArena, ExecError, KernelTier, Network, NodeId, Run};
 use mupod_optim::Eq8Term;
 use mupod_stats::regression::FitError;
 use mupod_stats::{LinearFit, RunningStats, SeededRng};
@@ -31,10 +34,6 @@ pub struct ProfileConfig {
     /// Number of `Δ` magnitudes per layer (the paper found 20
     /// sufficient).
     pub n_deltas: usize,
-    /// Largest injected `Δ` as a fraction of the layer's `max|X_K|`.
-    pub delta_max_fraction: f64,
-    /// Geometric decay between consecutive `Δ` values (octaves).
-    pub delta_step_octaves: f64,
     /// Independent noise draws per image per `Δ` (raises the sample
     /// count of the σ estimate when the output layer is small).
     pub repeats: usize,
@@ -54,75 +53,48 @@ pub struct ProfileConfig {
     /// microkernels (profile CSVs are then *not* byte-comparable
     /// against exact-tier runs).
     pub kernel_tier: KernelTier,
-    /// Numerical guardrails applied during the sweep.
-    pub guard: GuardConfig,
 }
 
 impl Default for ProfileConfig {
     fn default() -> Self {
         Self {
             n_deltas: 20,
-            delta_max_fraction: 1.0 / 64.0,
-            delta_step_octaves: 0.3,
             repeats: 2,
             seed: 0x9E37,
             full_replay: false,
             threads: 0,
             kernel_tier: KernelTier::default(),
-            guard: GuardConfig::default(),
         }
     }
 }
 
-/// Numerical guardrails for the profiling sweep.
-///
-/// Two independent protections:
-///
-/// * **Finiteness sweeps** (`validate_activations`): every forward pass
-///   is checked at each layer boundary; a NaN/Inf is a hard typed error
-///   ([`ProfileError::NumericalFault`]) — a poisoned activation can never
-///   be "degraded around", because every statistic downstream of it is
-///   garbage.
-/// * **Fit rejection**: a layer whose Eq. 5 regression is degenerate —
-///   negative `λ_K`, R² below `min_r_squared`, or fewer than
-///   `min_points` usable sweep points — is either replaced by a flagged
-///   conservative fallback (default) or, with `strict`, reported as a
-///   typed error. Degenerate fits are recoverable: the fallback simply
-///   grants that layer no quantization-noise budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Sweep every activation boundary for NaN/Inf (cheap; default on).
-    pub validate_activations: bool,
-    /// Minimum acceptable R² of a layer's Eq. 5 fit.
-    pub min_r_squared: f64,
-    /// Minimum usable `(σ, Δ)` sweep points (σ finite and positive).
-    pub min_points: usize,
-    /// Treat a degenerate fit as a hard error instead of falling back.
-    pub strict: bool,
-}
+/// Largest injected `Δ` as a fraction of the layer's range.
+pub(crate) const DELTA_MAX_FRACTION: f64 = 1.0 / 64.0;
+/// Geometric decay between consecutive `Δ` values (octaves).
+pub(crate) const DELTA_STEP_OCTAVES: f64 = 0.3;
+/// Minimum acceptable R² of a layer's Eq. 5 fit.
+pub(crate) const MIN_R_SQUARED: f64 = 0.5;
+/// Minimum usable `(σ, Δ)` sweep points (σ and Δ finite and positive).
+pub(crate) const MIN_POINTS: usize = 3;
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        Self {
-            validate_activations: true,
-            min_r_squared: 0.5,
-            min_points: 3,
-            strict: false,
-        }
-    }
+/// The `j`-th injected `Δ` of a sweep over a layer of range `scale`:
+/// [`DELTA_MAX_FRACTION`] of the range, decaying by
+/// [`DELTA_STEP_OCTAVES`] per step. Shared by the input and weight
+/// profilers.
+pub(crate) fn sweep_delta(scale: f64, j: usize) -> f64 {
+    scale * DELTA_MAX_FRACTION * (-(j as f64) * DELTA_STEP_OCTAVES).exp2()
 }
 
 /// Why a layer's Eq. 5 fit was rejected and replaced by the conservative
-/// fallback (or reported as an error under [`GuardConfig::strict`]).
+/// fallback.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FallbackReason {
     /// Fitted `λ_K ≤ 0`: the output error did not grow with the injected
     /// noise, so the line cannot be inverted into a noise budget.
     NegativeSlope,
-    /// R² below [`GuardConfig::min_r_squared`]; payload is the fitted R².
+    /// R² below 0.5; payload is the fitted R².
     LowRSquared(f64),
-    /// Fewer than [`GuardConfig::min_points`] usable sweep points;
-    /// payload is the usable count.
+    /// Fewer than 3 usable sweep points; payload is the usable count.
     TooFewPoints(usize),
     /// The regression itself failed.
     FitFailed(FitError),
@@ -210,12 +182,10 @@ pub enum ProfileError {
     NoImages,
     /// No layers were requested.
     NoLayers,
-    /// A layer's Eq. 5 fit was degenerate and [`GuardConfig::strict`]
-    /// forbade the fallback.
-    DegenerateLayer(String, FallbackReason),
-    /// A NaN/Inf was detected during a profiling forward pass. Unlike a
-    /// degenerate fit this is never degradable: every statistic computed
-    /// from the poisoned pass would be silently wrong.
+    /// A NaN/Inf was detected during a profiling forward pass (every
+    /// pass is validated). Unlike a degenerate fit this is never
+    /// degradable: every statistic computed from the poisoned pass would
+    /// be silently wrong.
     NumericalFault(ExecError),
     /// A requested layer is not a dot-product layer (nothing to profile).
     NotAnalyzable(NodeId),
@@ -232,9 +202,6 @@ impl std::fmt::Display for ProfileError {
         match self {
             ProfileError::NoImages => write!(f, "profiling needs at least one image"),
             ProfileError::NoLayers => write!(f, "profiling needs at least one layer"),
-            ProfileError::DegenerateLayer(name, reason) => {
-                write!(f, "degenerate Eq. 5 fit for layer `{name}`: {reason}")
-            }
             ProfileError::NumericalFault(e) => {
                 write!(f, "numerical fault during profiling: {e}")
             }
@@ -280,66 +247,44 @@ fn sample_stream(layer_index: usize, j: usize, rep: usize, image: usize) -> u64 
     ((layer_index as u64) << 44) ^ ((j as u64) << 28) ^ ((rep as u64) << 14) ^ image as u64
 }
 
-/// The checks a profiling pass runs: the full sweep when the guardrails
-/// validate activations, none otherwise.
-pub(crate) fn validation(validate_activations: bool) -> ValidateConfig {
-    if validate_activations {
-        ValidateConfig::default()
-    } else {
-        ValidateConfig::off()
-    }
-}
-
 /// The clean activation cache of every image, each from its own
-/// exact-tier pass — validated up front (if configured) so a poisoned
-/// image or weight set fails fast, before a sweep begins. Each cache is
-/// pruned to what suffix replays from `layers` read
-/// ([`Network::replay_operands`]) as soon as its pass completes. Shared
-/// by the input and weight profilers.
+/// exact-tier pass — validated up front so a poisoned image or weight
+/// set fails fast, before a sweep begins. Each cache is pruned to what
+/// suffix replays from `layers` read ([`Network::replay_operands`]) as
+/// soon as its pass completes. Shared by the input and weight profilers.
 pub(crate) fn clean_passes(
     net: &Network,
     images: &[Tensor],
     layers: &[NodeId],
-    validate_activations: bool,
 ) -> Result<Vec<Activations>, ExecError> {
-    let checks = validation(validate_activations);
     let keep = net.replay_operands(layers);
     let mut arena = ExecArena::for_network(net);
     images
         .iter()
         .map(|img| {
-            net.run(Run::image(img).validate(checks), &mut arena)?;
+            net.run(Run::image(img).validated(), &mut arena)?;
             Ok(arena.activations(0).retained(&keep))
         })
         .collect()
 }
 
-/// Fits one layer's sweep under the guardrails, producing either the
-/// Eq. 5 coefficients or the flagged conservative fallback.
+/// Fits one layer's sweep, producing either the Eq. 5 coefficients or
+/// the flagged conservative fallback: a degenerate fit — fewer than
+/// [`MIN_POINTS`] usable points, a failed regression, `λ_K ≤ 0` or R²
+/// below [`MIN_R_SQUARED`] — grants the layer no quantization-noise
+/// budget instead of failing the sweep.
 ///
 /// Shared by the input and weight profilers so degenerate-fit policy is
 /// identical in both.
-pub(crate) fn fit_sweep_guarded(
-    name: &str,
-    sigmas: &[f64],
-    deltas: &[f64],
-    guard: &GuardConfig,
-) -> Result<SweepFit, ProfileError> {
+pub(crate) fn fit_sweep(sigmas: &[f64], deltas: &[f64]) -> SweepFit {
     let usable: Vec<(f64, f64)> = sigmas
         .iter()
         .zip(deltas)
         .filter(|(&s, &d)| s.is_finite() && s > 0.0 && d.is_finite() && d > 0.0)
         .map(|(&s, &d)| (s, d))
         .collect();
-    let degenerate = |reason: FallbackReason| {
-        if guard.strict {
-            Err(ProfileError::DegenerateLayer(name.to_string(), reason))
-        } else {
-            Ok(SweepFit::fallback(reason))
-        }
-    };
-    if usable.len() < guard.min_points.max(2) {
-        return degenerate(FallbackReason::TooFewPoints(usable.len()));
+    if usable.len() < MIN_POINTS {
+        return SweepFit::fallback(FallbackReason::TooFewPoints(usable.len()));
     }
     let xs: Vec<f64> = usable.iter().map(|p| p.0).collect();
     let ys: Vec<f64> = usable.iter().map(|p| p.1).collect();
@@ -349,24 +294,24 @@ pub(crate) fn fit_sweep_guarded(
     let weights: Vec<f64> = ys.iter().map(|d| 1.0 / (d * d)).collect();
     let fit = match LinearFit::fit_weighted(&xs, &ys, &weights) {
         Ok(fit) => fit,
-        Err(e) => return degenerate(FallbackReason::FitFailed(e)),
+        Err(e) => return SweepFit::fallback(FallbackReason::FitFailed(e)),
     };
     if fit.slope <= 0.0 {
-        return degenerate(FallbackReason::NegativeSlope);
+        return SweepFit::fallback(FallbackReason::NegativeSlope);
     }
-    if fit.r_squared < guard.min_r_squared {
-        return degenerate(FallbackReason::LowRSquared(fit.r_squared));
+    if fit.r_squared < MIN_R_SQUARED {
+        return SweepFit::fallback(FallbackReason::LowRSquared(fit.r_squared));
     }
-    Ok(SweepFit {
+    SweepFit {
         lambda: fit.slope,
         theta: fit.intercept,
         r_squared: fit.r_squared,
         max_relative_error: fit.max_relative_error(&xs, &ys),
         fallback: None,
-    })
+    }
 }
 
-/// Outcome of [`fit_sweep_guarded`]: Eq. 5 coefficients or a fallback.
+/// Outcome of [`fit_sweep`]: Eq. 5 coefficients or a fallback.
 #[derive(Debug)]
 pub(crate) struct SweepFit {
     pub lambda: f64,
@@ -556,9 +501,9 @@ impl<'a> Profiler<'a> {
     /// # Errors
     ///
     /// Returns [`ProfileError`] if no images/layers are supplied, a
-    /// requested layer is not analyzable, a NaN/Inf surfaces during a
-    /// pass, or (under [`GuardConfig::strict`]) a layer's regression is
-    /// degenerate.
+    /// requested layer is not analyzable, or a NaN/Inf surfaces during a
+    /// pass. A degenerate regression is not an error: the layer carries
+    /// the flagged fallback ([`LayerProfile::fallback`]).
     pub fn profile(&self, layers: &[NodeId]) -> Result<Profile, ProfileError> {
         if self.images.is_empty() {
             return Err(ProfileError::NoImages);
@@ -590,13 +535,7 @@ impl<'a> Profiler<'a> {
         mut commit: impl FnMut(usize, LayerProfile) -> Result<(), E>,
     ) -> Result<(), E> {
         let clean_span = mupod_obs::span("profile.clean_pass");
-        let clean = clean_passes(
-            self.net,
-            self.images,
-            layers,
-            self.config.guard.validate_activations,
-        )
-        .map_err(ProfileError::from)?;
+        let clean = clean_passes(self.net, self.images, layers).map_err(ProfileError::from)?;
         drop(clean_span);
         // Static facts only: each layer's `max|X_K|` is read from the
         // clean caches, which keep every profiled layer's input.
@@ -639,7 +578,6 @@ impl<'a> Profiler<'a> {
             .ok_or(ProfileError::NotAnalyzable(layer))?;
         let _span = mupod_obs::span_fields("profile.layer", &[("layer", &info.name)]);
         let cfg = &self.config;
-        let checks = validation(cfg.guard.validate_activations);
         let producer = self.net.node(layer).inputs[0];
         let max_abs = clean
             .iter()
@@ -657,8 +595,7 @@ impl<'a> Profiler<'a> {
             // Drain point: a cancelled sweep abandons the layer between
             // Δ magnitudes, never mid-statistic.
             self.cancel_checkpoint()?;
-            let delta =
-                scale * cfg.delta_max_fraction * (-(j as f64) * cfg.delta_step_octaves).exp2();
+            let delta = sweep_delta(scale, j);
             // The per-slot noise streams are set for each batch below.
             let mut tap = UniformNoiseTap::single(layer, delta, rng.clone());
             let mut stats = RunningStats::new();
@@ -687,7 +624,7 @@ impl<'a> Profiler<'a> {
                 } else {
                     Run::suffix(bases, layer)
                 };
-                self.net.run(run.tap(&mut tap).validate(checks), arena)?;
+                self.net.run(run.tap(&mut tap).validated(), arena)?;
                 for (slot, base) in bases.iter().enumerate() {
                     let noisy = self.net.output(arena.activations(slot));
                     let ref_out = self.net.output(base);
@@ -701,7 +638,7 @@ impl<'a> Profiler<'a> {
         }
         let fit = {
             let _span = mupod_obs::span("profile.fit");
-            fit_sweep_guarded(&info.name, &sigmas, &deltas, &cfg.guard)?
+            fit_sweep(&sigmas, &deltas)
         };
         mupod_obs::counter_add("profile.layers_profiled", 1);
         mupod_obs::counter_add("profile.deltas_injected", cfg.n_deltas as u64);
@@ -968,8 +905,7 @@ mod tests {
         // A layer whose output never responds to noise: all σ zero.
         let sigmas = vec![0.0; 6];
         let deltas: Vec<f64> = (1..=6).map(|i| i as f64 * 0.01).collect();
-        let guard = GuardConfig::default();
-        let fit = fit_sweep_guarded("dead", &sigmas, &deltas, &guard).unwrap();
+        let fit = fit_sweep(&sigmas, &deltas);
         assert!(matches!(
             fit.fallback,
             Some(FallbackReason::TooFewPoints(0))
@@ -983,7 +919,7 @@ mod tests {
         // σ falls while Δ rises: a nonsense (inverted) response.
         let sigmas = vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
         let deltas = vec![0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
-        let fit = fit_sweep_guarded("inv", &sigmas, &deltas, &GuardConfig::default()).unwrap();
+        let fit = fit_sweep(&sigmas, &deltas);
         assert!(matches!(fit.fallback, Some(FallbackReason::NegativeSlope)));
     }
 
@@ -992,25 +928,9 @@ mod tests {
         // Two poisoned σ among six: fit proceeds on the remaining four.
         let sigmas = vec![0.1, f64::NAN, 0.3, f64::INFINITY, 0.5, 0.6];
         let deltas = vec![0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
-        let fit = fit_sweep_guarded("holey", &sigmas, &deltas, &GuardConfig::default()).unwrap();
+        let fit = fit_sweep(&sigmas, &deltas);
         assert!(fit.fallback.is_none(), "four clean points should fit");
         assert!(fit.lambda > 0.0);
-    }
-
-    #[test]
-    fn strict_guard_turns_fallback_into_error() {
-        let sigmas = vec![0.0; 6];
-        let deltas: Vec<f64> = (1..=6).map(|i| i as f64 * 0.01).collect();
-        let guard = GuardConfig {
-            strict: true,
-            ..Default::default()
-        };
-        match fit_sweep_guarded("dead", &sigmas, &deltas, &guard).unwrap_err() {
-            ProfileError::DegenerateLayer(name, FallbackReason::TooFewPoints(0)) => {
-                assert_eq!(name, "dead");
-            }
-            e => panic!("unexpected error {e:?}"),
-        }
     }
 
     #[test]

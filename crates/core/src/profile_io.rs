@@ -36,8 +36,11 @@
 //! printed with Rust's shortest-roundtrip formatting, so reloaded sweeps
 //! are bit-identical.
 
-use crate::profile::{FallbackReason, LayerProfile, Profile, ProfileError, Profiler};
-use mupod_nn::NodeId;
+use crate::profile::{
+    FallbackReason, LayerProfile, Profile, ProfileConfig, ProfileError, Profiler,
+    DELTA_MAX_FRACTION, DELTA_STEP_OCTAVES, MIN_POINTS, MIN_R_SQUARED,
+};
+use mupod_nn::{KernelTier, NodeId};
 use mupod_stats::regression::FitError;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -296,28 +299,28 @@ use mupod_runtime::artifact::fnv1a64;
 
 /// Fingerprint of every profiling input that affects the journal's
 /// contents. Thread count and replay mode are excluded: results are
-/// bit-identical across both.
-fn journal_fingerprint(
-    config: &crate::profile::ProfileConfig,
-    layers: &[NodeId],
-    n_images: usize,
-) -> String {
+/// bit-identical across both. The kernel tier is not (DESIGN §16), so a
+/// non-Exact tier is appended; the sweep and fit constants keep the
+/// places they held when they were settable. Exact-tier fingerprints are
+/// therefore the ones journals have always carried.
+fn journal_fingerprint(config: &ProfileConfig, layers: &[NodeId], n_images: usize) -> String {
     let layer_ids: Vec<usize> = layers.iter().map(|l| l.index()).collect();
-    let canon = format!(
+    let mut canon = format!(
         "n_deltas={};delta_max_fraction={};delta_step_octaves={};repeats={};seed={};\
-         min_r_squared={};min_points={};strict={};validate={};layers={:?};images={}",
+         min_r_squared={};min_points={};strict=false;validate=true;layers={:?};images={}",
         config.n_deltas,
-        config.delta_max_fraction,
-        config.delta_step_octaves,
+        DELTA_MAX_FRACTION,
+        DELTA_STEP_OCTAVES,
         config.repeats,
         config.seed,
-        config.guard.min_r_squared,
-        config.guard.min_points,
-        config.guard.strict,
-        config.guard.validate_activations,
+        MIN_R_SQUARED,
+        MIN_POINTS,
         layer_ids,
         n_images,
     );
+    if config.kernel_tier != KernelTier::Exact {
+        canon += &format!(";kernel_tier={}", config.kernel_tier.name());
+    }
     format!("{:016x}", fnv1a64(canon.as_bytes()))
 }
 
@@ -835,7 +838,6 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_profiling_inputs() {
-        use crate::profile::ProfileConfig;
         let layers = [
             NodeId::from_index_for_tests(1),
             NodeId::from_index_for_tests(4),
@@ -843,17 +845,54 @@ mod tests {
         let base = ProfileConfig::default();
         let fp = journal_fingerprint(&base, &layers, 10);
         assert_eq!(fp, journal_fingerprint(&base, &layers, 10));
-        assert_ne!(
-            fp,
-            journal_fingerprint(&ProfileConfig { seed: 1, ..base }, &layers, 10)
-        );
+        for other in [
+            ProfileConfig { seed: 1, ..base },
+            ProfileConfig {
+                n_deltas: 12,
+                ..base
+            },
+            ProfileConfig { repeats: 3, ..base },
+            ProfileConfig {
+                kernel_tier: KernelTier::Fast,
+                ..base
+            },
+        ] {
+            assert_ne!(fp, journal_fingerprint(&other, &layers, 10), "{other:?}");
+        }
         assert_ne!(fp, journal_fingerprint(&base, &layers[..1], 10));
         assert_ne!(fp, journal_fingerprint(&base, &layers, 11));
-        // Thread count must NOT change the fingerprint: results are
-        // bit-identical for any thread count.
+        // Thread count and replay mode must NOT change the fingerprint:
+        // results are bit-identical across both.
         assert_eq!(
             fp,
             journal_fingerprint(&ProfileConfig { threads: 7, ..base }, &layers, 10)
+        );
+        assert_eq!(
+            fp,
+            journal_fingerprint(
+                &ProfileConfig {
+                    full_replay: true,
+                    ..base
+                },
+                &layers,
+                10
+            )
+        );
+    }
+
+    #[test]
+    fn default_fingerprint_matches_existing_journals() {
+        // The hash of `n_deltas=20;delta_max_fraction=0.015625;
+        // delta_step_octaves=0.3;repeats=2;seed=40503;min_r_squared=0.5;
+        // min_points=3;strict=false;validate=true;layers=[1, 4];images=10`,
+        // the form every exact-tier journal header has carried.
+        let layers = [
+            NodeId::from_index_for_tests(1),
+            NodeId::from_index_for_tests(4),
+        ];
+        assert_eq!(
+            journal_fingerprint(&ProfileConfig::default(), &layers, 10),
+            "684a8cee94a122e7"
         );
     }
 }

@@ -48,39 +48,41 @@ pub struct SearchOutcome {
     pub evaluations: usize,
 }
 
-/// Binary search driver.
+/// The paper's initial upper-bound guess for `σ_{Y_Ł}`.
+const INITIAL_GUESS: f64 = 1.0;
+
+/// Relative bracket width at which the search stops: bisection ends when
+/// `hi − lo ≤ TOLERANCE · hi`. The paper stops at an absolute width of
+/// 0.01, which presumes ImageNet-scale logits (σ* ≈ 0.32); a relative
+/// criterion serves any logit scale.
+const TOLERANCE: f64 = 0.01;
+
+/// Seed for the injected noise.
+const SEED: u64 = 0x51C4;
+
+/// Cap on doubling steps while hunting for a violating upper bound: a
+/// search whose every probe passes returns `INITIAL_GUESS · 2²⁴`.
+const MAX_DOUBLINGS: usize = 24;
+
+/// Acceptance slack in *images*: a candidate σ passes if accuracy is
+/// within `SLACK_IMAGES / n` of the target. On small evaluation sets a
+/// single hair-margin image flips under any noise at all, which would
+/// otherwise drive the search to σ = 0; the paper's ≥ 12 500 evaluation
+/// images make this fraction invisible.
+const SLACK_IMAGES: f64 = 1.0;
+
+/// Binary search driver. The procedure's constants are fixed, as in
+/// the paper (§V-C); only the acceptance test is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmaSearch {
     /// Acceptance test scheme.
     pub scheme: SearchScheme,
-    /// Initial upper-bound guess (the paper starts at 1.0).
-    pub initial_guess: f64,
-    /// Relative bracket width at which the search stops: bisection ends
-    /// when `hi − lo ≤ tolerance · hi`. The paper stops at an absolute
-    /// width of 0.01, which presumes ImageNet-scale logits (σ* ≈ 0.32);
-    /// a relative criterion serves any logit scale.
-    pub tolerance: f64,
-    /// Seed for the injected noise.
-    pub seed: u64,
-    /// Cap on doubling steps while hunting for a violating upper bound.
-    pub max_doublings: usize,
-    /// Acceptance slack in *images*: a candidate σ passes if accuracy is
-    /// within `slack_images / n` of the target. On small evaluation sets
-    /// a single hair-margin image flips under any noise at all, which
-    /// would otherwise drive the search to σ = 0; the paper's ≥ 12 500
-    /// evaluation images make this fraction invisible.
-    pub slack_images: f64,
 }
 
 impl Default for SigmaSearch {
     fn default() -> Self {
         Self {
             scheme: SearchScheme::EqualScheme,
-            initial_guess: 1.0,
-            tolerance: 0.01,
-            seed: 0x51C4,
-            max_doublings: 24,
-            slack_images: 1.0,
         }
     }
 }
@@ -95,9 +97,9 @@ impl SigmaSearch {
     ) -> f64 {
         match self.scheme {
             SearchScheme::EqualScheme => {
-                evaluator.accuracy_uniform_noise(&equal_deltas(profile, sigma), self.seed)
+                evaluator.accuracy_uniform_noise(&equal_deltas(profile, sigma), SEED)
             }
-            SearchScheme::GaussianApprox => evaluator.accuracy_gaussian_output(sigma, self.seed),
+            SearchScheme::GaussianApprox => evaluator.accuracy_gaussian_output(sigma, SEED),
         }
     }
 
@@ -114,12 +116,12 @@ impl SigmaSearch {
     ) -> Option<f64> {
         match self.scheme {
             SearchScheme::EqualScheme => {
-                evaluator.uniform_noise_meets(&equal_deltas(profile, sigma), self.seed, threshold)
+                evaluator.uniform_noise_meets(&equal_deltas(profile, sigma), SEED, threshold)
             }
             // Scheme 2 perturbs cached logits, so a full evaluation costs
             // microseconds and stopping early would save nothing.
             SearchScheme::GaussianApprox => {
-                let acc = evaluator.accuracy_gaussian_output(sigma, self.seed);
+                let acc = evaluator.accuracy_gaussian_output(sigma, SEED);
                 (acc >= threshold).then_some(acc)
             }
         }
@@ -128,10 +130,11 @@ impl SigmaSearch {
     /// Finds the largest `σ_{Y_Ł}` whose accuracy stays at or above
     /// `target_accuracy`.
     ///
-    /// Follows the paper's procedure: start from
-    /// [`SigmaSearch::initial_guess`]; if it already violates, bisect in
-    /// `[0, guess]`; otherwise double until violation, then bisect. The
-    /// returned `sigma` is the *satisfying* end of the final bracket.
+    /// Follows the paper's procedure: start from σ = 1; if it already
+    /// violates, bisect in `[0, 1]`; otherwise double (at most 24 times)
+    /// until violation, then bisect to a 1 % relative bracket. A
+    /// candidate passes within one image of the target. The returned
+    /// `sigma` is the *satisfying* end of the final bracket.
     ///
     /// # Panics
     ///
@@ -150,7 +153,7 @@ impl SigmaSearch {
         assert!(!profile.is_empty(), "profile must not be empty");
         let _span = mupod_obs::span("search.sigma");
         let mut evaluations = 0usize;
-        let threshold = target_accuracy - self.slack_images / evaluator.len() as f64;
+        let threshold = target_accuracy - SLACK_IMAGES / evaluator.len() as f64;
         let mut eval_at = |sigma: f64| {
             evaluations += 1;
             let _span = mupod_obs::span("search.evaluate");
@@ -159,12 +162,12 @@ impl SigmaSearch {
         };
 
         // Establish a violated upper bound and a satisfying lower bound.
-        let mut hi = self.initial_guess;
+        let mut hi = INITIAL_GUESS;
         let mut lo = 0.0;
         let mut acc_lo = evaluator.fp_accuracy();
         let mut doublings = 0;
         while let Some(acc_hi) = eval_at(hi) {
-            if doublings == self.max_doublings {
+            if doublings == MAX_DOUBLINGS {
                 // Even the largest probed σ satisfies — return it.
                 return SearchOutcome {
                     sigma: hi,
@@ -180,7 +183,7 @@ impl SigmaSearch {
         }
 
         // Bisect until the bracket closes (relative width).
-        while hi - lo > self.tolerance * hi {
+        while hi - lo > TOLERANCE * hi {
             let mid = 0.5 * (lo + hi);
             match eval_at(mid) {
                 Some(acc_mid) => {
@@ -214,7 +217,7 @@ fn equal_deltas(profile: &Profile, sigma: f64) -> HashMap<NodeId, f64> {
 mod tests {
     use super::*;
     use crate::eval::AccuracyMode;
-    use crate::profile::Profiler;
+    use crate::profile::{FallbackReason, LayerProfile, Profiler};
     use mupod_data::{Dataset, DatasetSpec};
     use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
     use mupod_nn::Network;
@@ -243,10 +246,9 @@ mod tests {
         let target = 0.95;
         let search = SigmaSearch {
             scheme: SearchScheme::GaussianApprox,
-            ..Default::default()
         };
         let out = search.search(&profile, &ev, target);
-        let slack = search.slack_images / ev.len() as f64;
+        let slack = SLACK_IMAGES / ev.len() as f64;
         assert!(out.accuracy_at_sigma >= target - slack);
         assert!(out.sigma > 0.0);
         assert!(out.evaluations > 2);
@@ -265,7 +267,7 @@ mod tests {
         let target = 0.9;
         let search = SigmaSearch::default();
         let out = search.search(&profile, &ev, target);
-        let slack = search.slack_images / ev.len() as f64;
+        let slack = SLACK_IMAGES / ev.len() as f64;
         assert!(out.accuracy_at_sigma >= target - slack, "{out:?}");
         assert!(out.sigma > 0.0);
     }
@@ -280,7 +282,6 @@ mod tests {
         let s1 = SigmaSearch::default().search(&profile, &ev, target);
         let s2 = SigmaSearch {
             scheme: SearchScheme::GaussianApprox,
-            ..Default::default()
         }
         .search(&profile, &ev, target);
         let ratio = s1.sigma / s2.sigma;
@@ -298,7 +299,6 @@ mod tests {
         let ev = AccuracyEvaluator::new(&net, &data, AccuracyMode::FpAgreement);
         let search = SigmaSearch {
             scheme: SearchScheme::GaussianApprox,
-            ..Default::default()
         };
         let loose = search.search(&profile, &ev, 0.85);
         let tight = search.search(&profile, &ev, 0.99);
@@ -323,13 +323,13 @@ mod tests {
             evaluations += 1;
             search.accuracy_at(sigma, profile, evaluator)
         };
-        let threshold = target_accuracy - search.slack_images / evaluator.len() as f64;
-        let mut hi = search.initial_guess;
+        let threshold = target_accuracy - SLACK_IMAGES / evaluator.len() as f64;
+        let mut hi = INITIAL_GUESS;
         let mut lo = 0.0;
         let mut acc_lo = evaluator.fp_accuracy();
         let mut acc_hi = eval_at(hi);
         let mut doublings = 0;
-        while acc_hi >= threshold && doublings < search.max_doublings {
+        while acc_hi >= threshold && doublings < MAX_DOUBLINGS {
             lo = hi;
             acc_lo = acc_hi;
             hi *= 2.0;
@@ -344,7 +344,7 @@ mod tests {
                 evaluations,
             };
         }
-        while hi - lo > search.tolerance * hi {
+        while hi - lo > TOLERANCE * hi {
             let mid = 0.5 * (lo + hi);
             let acc_mid = eval_at(mid);
             if acc_mid >= threshold {
@@ -369,14 +369,8 @@ mod tests {
             let ev =
                 AccuracyEvaluator::with_threads(&net, &data, AccuracyMode::FpAgreement, threads);
             for scheme in [SearchScheme::EqualScheme, SearchScheme::GaussianApprox] {
-                for (target, max_doublings) in
-                    [(0.5, 24), (0.9, 24), (0.99, 24), (1.0, 24), (0.2, 0)]
-                {
-                    let search = SigmaSearch {
-                        scheme,
-                        max_doublings,
-                        ..Default::default()
-                    };
+                for target in [0.5, 0.9, 0.99, 1.0] {
+                    let search = SigmaSearch { scheme };
                     let got = search.search(&profile, &ev, target);
                     let want = reference_search(&search, &profile, &ev, target);
                     assert_eq!(
@@ -393,6 +387,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn doubling_cap_returns_the_largest_probe() {
+        // Fallback layers (λ = θ = 0) get only their Δ floor at any σ, so
+        // every probe passes and only the doubling cap ends the search.
+        let (net, data, profile) = setup();
+        let fallback = Profile::from_layers(
+            profile
+                .layers()
+                .iter()
+                .map(|l| LayerProfile {
+                    lambda: 0.0,
+                    theta: 0.0,
+                    fallback: Some(FallbackReason::NegativeSlope),
+                    ..l.clone()
+                })
+                .collect(),
+        );
+        let ev = AccuracyEvaluator::new(&net, &data, AccuracyMode::FpAgreement);
+        let search = SigmaSearch::default();
+        let out = search.search(&fallback, &ev, 0.9);
+        assert_eq!(out.evaluations, MAX_DOUBLINGS + 1);
+        assert_eq!(out.sigma, 24f64.exp2());
+        assert_eq!(out, reference_search(&search, &fallback, &ev, 0.9));
     }
 
     #[test]

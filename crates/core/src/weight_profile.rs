@@ -28,8 +28,8 @@
 
 use crate::par::Pool;
 use crate::profile::{
-    clean_passes, fit_sweep_guarded, replay_arena, validation, LayerProfile, Profile,
-    ProfileConfig, ProfileError, REPLAY_BATCH,
+    clean_passes, fit_sweep, replay_arena, sweep_delta, LayerProfile, Profile, ProfileConfig,
+    ProfileError, REPLAY_BATCH,
 };
 use mupod_nn::inventory::LayerInventory;
 use mupod_nn::{ExecArena, Network, NodeId, Op, Run};
@@ -74,9 +74,8 @@ pub fn profile_weights(
     }
     // Validated up front, same policy as the input profiler: poisoned
     // weights or images must fail fast with a typed error.
-    let clean = clean_passes(net, images, layers, config.guard.validate_activations)?;
+    let clean = clean_passes(net, images, layers)?;
     let clean: Vec<_> = clean.iter().collect();
-    let checks = validation(config.guard.validate_activations);
     // Only the static MAC counts are read.
     let inventory = LayerInventory::measure(net, std::iter::empty());
     let rng = SeededRng::new(config.seed ^ 0x77EE);
@@ -91,9 +90,7 @@ pub fn profile_weights(
         let mut sigmas = Vec::with_capacity(config.n_deltas);
         let mut deltas = Vec::with_capacity(config.n_deltas);
         for j in 0..config.n_deltas {
-            let delta = scale
-                * config.delta_max_fraction
-                * (-(j as f64) * config.delta_step_octaves).exp2();
+            let delta = sweep_delta(scale, j);
             let mut stats = RunningStats::new();
             for rep in 0..config.repeats.max(1) {
                 // One weight perturbation per repeat, replayed over all
@@ -103,7 +100,7 @@ pub fn profile_weights(
                 let mut noise_rng = rng.fork(stream);
                 let noisy = net.with_perturbed_weights(layer, delta, &mut noise_rng);
                 for bases in clean.chunks(REPLAY_BATCH) {
-                    noisy.run(Run::suffix(bases, layer).validate(checks), arena)?;
+                    noisy.run(Run::suffix(bases, layer).validated(), arena)?;
                     for (slot, base) in bases.iter().enumerate() {
                         let out_t = net.output(arena.activations(slot));
                         let ref_out = net.output(base);
@@ -117,7 +114,7 @@ pub fn profile_weights(
             deltas.push(delta);
         }
         let name = net.node(layer).name.clone();
-        let fit = fit_sweep_guarded(&name, &sigmas, &deltas, &config.guard)?;
+        let fit = fit_sweep(&sigmas, &deltas);
         let info = inventory
             .find(layer)
             .ok_or(ProfileError::NotAnalyzable(layer))?;

@@ -14,7 +14,7 @@ use mupod_core::{
 use mupod_data::{Dataset, DatasetSpec};
 use mupod_models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod_nn::tap::{FaultKind, FaultTap};
-use mupod_nn::{ExecArena, ExecError, Network, Run, ValidateConfig};
+use mupod_nn::{ExecArena, ExecError, KernelTier, Network, Run};
 use std::path::PathBuf;
 
 fn setup(seed: u64) -> (Network, Dataset) {
@@ -111,9 +111,7 @@ fn fault_tap_on_checked_pass_never_panics() {
     for kind in [FaultKind::Nan, FaultKind::PosInf, FaultKind::NegInf] {
         for &layer in &layers {
             let mut tap = FaultTap::single_element(layer, kind);
-            let run = Run::image(image)
-                .tap(&mut tap)
-                .validate(ValidateConfig::default());
+            let run = Run::image(image).tap(&mut tap).validated();
             let res = net.run(run, &mut arena);
             let err = res.expect_err("fault must be detected");
             assert!(
@@ -274,6 +272,34 @@ fn foreign_config_journal_is_rejected() {
         })
         .profile_journaled(&layers, &path)
         .unwrap_err();
+    assert!(
+        matches!(err, CoreError::Journal(JournalError::ConfigMismatch { .. })),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn fast_tier_journal_does_not_resume_on_exact() {
+    let (net, data) = setup(0xFB);
+    let layers = ModelKind::AlexNet.analyzable_layers(&net);
+    let path = temp_path("fast_tier.journal");
+    let _ = std::fs::remove_file(&path);
+    let on = |kernel_tier| {
+        Profiler::new(&net, &data.images()[..4]).with_config(ProfileConfig {
+            kernel_tier,
+            ..quick()
+        })
+    };
+    let (_, summary) = on(KernelTier::Fast)
+        .profile_journaled(&layers, &path)
+        .unwrap();
+    assert_eq!(summary.computed, layers.len());
+    // Fast-tier sweeps are not bit-identical to exact ones, so a
+    // complete Fast journal must not hand its layers to an Exact run.
+    let err = on(KernelTier::Exact)
+        .profile_journaled(&layers, &path)
+        .unwrap_err();
+    std::fs::remove_file(&path).ok();
     assert!(
         matches!(err, CoreError::Journal(JournalError::ConfigMismatch { .. })),
         "{err:?}"

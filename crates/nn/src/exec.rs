@@ -14,8 +14,10 @@
 //! * [`Run::tap`] lets an [`InputTap`] perturb the data operand of the
 //!   dot-product layers it claims (in a suffix run: the start layer),
 //!   telling it which slot each operand belongs to;
-//! * [`Run::validate`] sweeps the images and each produced activation
-//!   for NaN/Inf and names the first layer that emitted one.
+//! * [`Run::validated`] sweeps the images and each produced activation
+//!   for NaN/Inf and names the first layer that emitted one. The sweep
+//!   is a single `is_finite` pass over each tensor — memory-bandwidth
+//!   cost, negligible next to the dot products that made it.
 //!
 //! Convolution nodes run the whole batch through packed GEMMs
 //! ([`conv2d_batch_into`]); every other op runs per image. Neither
@@ -42,38 +44,6 @@ const MAX_FANIN: usize = 16;
 /// [`conv2d_batch_into`]). Eight covers the batch sizes served by
 /// default and keeps the per-node gather small for single images.
 const BATCH_CHUNK: usize = 8;
-
-/// What a validated [`Run`] checks at each layer boundary.
-///
-/// The sweep is a single `is_finite` pass over each produced activation —
-/// memory-bandwidth cost, negligible next to the dot products that made
-/// the tensor — so enabling it inside long profiling sweeps is cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValidateConfig {
-    /// Sweep the input image before execution starts.
-    pub check_input: bool,
-    /// Sweep every node's output activation as it is produced.
-    pub check_activations: bool,
-}
-
-impl Default for ValidateConfig {
-    fn default() -> Self {
-        Self {
-            check_input: true,
-            check_activations: true,
-        }
-    }
-}
-
-impl ValidateConfig {
-    /// A config that checks nothing — the default of every [`Run`].
-    pub fn off() -> Self {
-        Self {
-            check_input: false,
-            check_activations: false,
-        }
-    }
-}
 
 /// Errors detected by a validated [`Run`].
 #[derive(Debug, Clone, PartialEq)]
@@ -173,13 +143,13 @@ fn empty() -> Tensor {
 
 /// What one [`Network::run`] computes: its source (a batch of images, or
 /// a batch of suffix replays over clean activations), an optional input
-/// tap, and the finiteness checks. Built with [`Run::images`],
-/// [`Run::image`] or [`Run::suffix`], then refined with [`Run::tap`] and
-/// [`Run::validate`].
+/// tap, and whether the finiteness checks run. Built with
+/// [`Run::images`], [`Run::image`] or [`Run::suffix`], then refined with
+/// [`Run::tap`] and [`Run::validated`].
 pub struct Run<'a> {
     source: Source<'a>,
     tap: Option<&'a mut dyn InputTap>,
-    validate: ValidateConfig,
+    validate: bool,
 }
 
 /// Where a run's operands come from.
@@ -198,7 +168,7 @@ impl<'a> Run<'a> {
         Self {
             source,
             tap: None,
-            validate: ValidateConfig::off(),
+            validate: false,
         }
     }
 
@@ -233,13 +203,13 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Sweeps the images (`cfg.check_input`, full passes only) and every
-    /// produced activation (`cfg.check_activations`) for NaN/Inf. The
-    /// tap may itself inject non-finite values — that is what the
-    /// fault-injection harness does — and the sweep attributes the fault
-    /// to the first layer whose *output* carries it. Off by default.
-    pub fn validate(mut self, cfg: ValidateConfig) -> Self {
-        self.validate = cfg;
+    /// Sweeps the images (full passes only) and every produced
+    /// activation for NaN/Inf. The tap may itself inject non-finite
+    /// values — that is what the fault-injection harness does — and the
+    /// sweep attributes the fault to the first layer whose *output*
+    /// carries it. Off by default.
+    pub fn validated(mut self) -> Self {
+        self.validate = true;
         self
     }
 }
@@ -608,7 +578,7 @@ impl Network {
                         self.input_dims(),
                         "image shape does not match network input"
                     );
-                    if validate.check_input {
+                    if validate {
                         image
                             .validate_finite()
                             .map_err(|source| ExecError::NonFiniteInput { source })?;
@@ -730,7 +700,7 @@ impl Network {
                     &mut conv_out[..m],
                 );
             }
-            if validate.check_activations {
+            if validate {
                 for slot in live.iter() {
                     slot.acts.tensors[i].validate_finite().map_err(|source| {
                         ExecError::NonFiniteActivation {
@@ -1025,7 +995,7 @@ mod tests {
         let image = random_tensor(&mut rng, &[2, 8, 8]);
         let plain = net.forward(&image);
         let mut arena = ExecArena::for_network(&net);
-        let checked = Run::image(&image).validate(ValidateConfig::default());
+        let checked = Run::image(&image).validated();
         assert_eq!(
             bits(net.run(checked, &mut arena).unwrap()),
             bits(net.output(&plain)),
@@ -1040,7 +1010,7 @@ mod tests {
         let mut image = random_tensor(&mut rng, &[2, 8, 8]);
         image.data_mut()[7] = f32::NAN;
         let mut arena = ExecArena::for_network(&net);
-        let checked = Run::image(&image).validate(ValidateConfig::default());
+        let checked = Run::image(&image).validated();
         match net.run(checked, &mut arena).unwrap_err() {
             ExecError::NonFiniteInput { .. } => {}
             e => panic!("expected NonFiniteInput, got {e:?}"),
@@ -1055,9 +1025,7 @@ mod tests {
         let layer = net.dot_product_layers()[1];
         let mut tap = FaultTap::single_element(layer, FaultKind::Nan);
         let mut arena = ExecArena::for_network(&net);
-        let run = Run::image(&image)
-            .tap(&mut tap)
-            .validate(ValidateConfig::default());
+        let run = Run::image(&image).tap(&mut tap).validated();
         match net.run(run, &mut arena).unwrap_err() {
             // The NaN enters via the tapped layer's input, so the tapped
             // layer itself is the first to emit a non-finite output.
@@ -1076,9 +1044,7 @@ mod tests {
         let mut tap = FaultTap::new(layer, FaultKind::PosInf, 1);
         let mut arena = ExecArena::for_network(&net);
         let bases = [&base];
-        let run = Run::suffix(&bases, layer)
-            .tap(&mut tap)
-            .validate(ValidateConfig::default());
+        let run = Run::suffix(&bases, layer).tap(&mut tap).validated();
         let err = net.run(run, &mut arena).unwrap_err();
         assert!(matches!(err, ExecError::NonFiniteActivation { .. }));
         let msg = err.to_string();
@@ -1097,9 +1063,7 @@ mod tests {
         // though a NaN flowed through it — max-based ops (ReLU, pooling)
         // can even launder it back into finite-but-wrong values. This is
         // exactly the silent corruption the guardrails exist to prevent.
-        let run = Run::image(&image)
-            .tap(&mut tap)
-            .validate(ValidateConfig::off());
+        let run = Run::image(&image).tap(&mut tap);
         assert!(net.run(run, &mut arena).is_ok());
     }
 

@@ -55,7 +55,7 @@ pub mod inventory;
 mod layer;
 pub mod tap;
 
-pub use exec::{Activations, ExecArena, ExecError, Run, ValidateConfig};
+pub use exec::{Activations, ExecArena, ExecError, Run};
 pub use graph::{BuildError, Network, NetworkBuilder};
 pub use layer::{Node, NodeId, Op};
 pub use mupod_tensor::KernelTier;

@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mupod_nn::tap::UniformNoiseTap;
-use mupod_nn::{ExecArena, KernelTier, Network, NetworkBuilder, Run, ValidateConfig};
+use mupod_nn::{ExecArena, KernelTier, Network, NetworkBuilder, Run};
 use mupod_stats::SeededRng;
 use mupod_tensor::conv::Conv2dParams;
 use mupod_tensor::pool::Pool2dParams;
@@ -106,7 +106,6 @@ fn warm_arena_runs_allocate_nothing() {
     let base = net.forward(image);
     let layer = net.dot_product_layers()[1];
     let mut tap = UniformNoiseTap::single(layer, 0.1, SeededRng::new(3));
-    let checked = ValidateConfig::default();
 
     let mut arena = ExecArena::for_network(&net);
     assert_warm_run_allocates_nothing("forward", &mut arena, |a| {
@@ -116,7 +115,7 @@ fn warm_arena_runs_allocate_nothing() {
         net.run(Run::image(image).tap(&mut tap), a).unwrap();
     });
     assert_warm_run_allocates_nothing("checked", &mut arena, |a| {
-        net.run(Run::image(image).validate(checked), a).unwrap();
+        net.run(Run::image(image).validated(), a).unwrap();
     });
     assert_warm_run_allocates_nothing("suffix", &mut arena, |a| {
         net.run(Run::suffix(&[&base], layer).tap(&mut tap), a)
@@ -144,10 +143,7 @@ fn warm_arena_runs_allocate_nothing() {
     let mut replay = ExecArena::new(&net, 8, KernelTier::Exact);
     assert_warm_run_allocates_nothing("batched suffix", &mut replay, |a| {
         tap.set_streams((0..8).map(|b| SeededRng::new(b as u64)));
-        net.run(
-            Run::suffix(&bases, layer).tap(&mut tap).validate(checked),
-            a,
-        )
-        .unwrap();
+        net.run(Run::suffix(&bases, layer).tap(&mut tap).validated(), a)
+            .unwrap();
     });
 }

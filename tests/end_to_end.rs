@@ -2,13 +2,15 @@
 
 use mupod::baselines::uniform_search;
 use mupod::core::{
-    AccuracyEvaluator, AccuracyMode, Objective, PrecisionOptimizer, Profile, ProfileConfig,
+    allocate, AccuracyEvaluator, AccuracyMode, AllocateConfig, Objective, PrecisionOptimizer,
+    Prepared, Profile, ProfileConfig,
 };
 use mupod::data::{Dataset, DatasetSpec};
 use mupod::hw::{bandwidth, MacEnergyModel};
 use mupod::models::{calibrate::calibrate_head, ModelKind, ModelScale};
 use mupod::nn::inventory::LayerInventory;
 use mupod::nn::Network;
+use mupod::quant::BitwidthAllocation;
 
 fn prepared(kind: ModelKind, seed: u64) -> (Network, Dataset, Dataset) {
     let scale = ModelScale::tiny();
@@ -19,6 +21,12 @@ fn prepared(kind: ModelKind, seed: u64) -> (Network, Dataset, Dataset) {
     let eval = Dataset::generate(&spec, seed ^ 2, 48);
     calibrate_head(&mut net, &calib, 0.1).expect("calibration");
     (net, calib, eval)
+}
+
+/// The Eq. 8 solve for `objective` at the prepared σ, without validation.
+fn unvalidated(p: &Prepared<'_>, objective: Objective) -> BitwidthAllocation {
+    let sigma = p.sigma.sigma.max(1e-6);
+    allocate(&p.profile, sigma, &objective, &AllocateConfig::default()).allocation
 }
 
 fn quick_profile_config() -> ProfileConfig {
@@ -94,9 +102,9 @@ fn profile_roundtrips_through_csv_and_reoptimizes() {
         .relative_accuracy_loss(0.05)
         .profile_config(quick_profile_config())
         .profile_images(8)
-        .skip_validation()
-        .run(Objective::Bandwidth)
+        .prepare()
         .expect("first run");
+    let first_bw = unvalidated(&first, Objective::Bandwidth);
 
     // Persist the profile, reload it, and run the MAC objective from it.
     let mut buf = Vec::new();
@@ -108,10 +116,12 @@ fn profile_roundtrips_through_csv_and_reoptimizes() {
         .layers(layers)
         .relative_accuracy_loss(0.05)
         .with_profile(reloaded)
-        .skip_validation()
-        .run(Objective::MacEnergy)
+        .prepare()
         .expect("second run");
-    assert_eq!(second.allocation.len(), first.allocation.len());
+    assert_eq!(
+        unvalidated(&second, Objective::MacEnergy).len(),
+        first_bw.len()
+    );
 }
 
 #[test]
@@ -130,20 +140,20 @@ fn energy_model_sees_savings_from_lower_loss_budget() {
         .relative_accuracy_loss(0.01)
         .profile_config(quick_profile_config())
         .profile_images(8)
-        .skip_validation()
-        .run(Objective::MacEnergy)
+        .prepare()
         .expect("tight run");
     let loose = PrecisionOptimizer::new(&net, &calib)
         .layers(layers)
         .relative_accuracy_loss(0.10)
         .with_profile(base.profile.clone())
-        .skip_validation()
-        .run(Objective::MacEnergy)
+        .prepare()
         .expect("loose run");
 
     let model = MacEnergyModel::dwip_40nm();
-    let e_tight = model.network_energy(&macs, &base.allocation.bits(), 8);
-    let e_loose = model.network_energy(&macs, &loose.allocation.bits(), 8);
+    let tight_bits = unvalidated(&base, Objective::MacEnergy).bits();
+    let loose_bits = unvalidated(&loose, Objective::MacEnergy).bits();
+    let e_tight = model.network_energy(&macs, &tight_bits, 8);
+    let e_loose = model.network_energy(&macs, &loose_bits, 8);
     assert!(
         e_loose <= e_tight * 1.001,
         "loose budget used more energy: {e_loose} vs {e_tight}"

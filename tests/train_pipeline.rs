@@ -2,7 +2,7 @@
 //! closest end-to-end analogue of the paper's setting (a genuinely
 //! trained network, then analytical precision allocation).
 
-use mupod::core::{Objective, PrecisionOptimizer, ProfileConfig};
+use mupod::core::{allocate, AllocateConfig, Objective, PrecisionOptimizer, ProfileConfig};
 use mupod::data::{Dataset, DatasetSpec};
 use mupod::nn::{Network, NetworkBuilder};
 use mupod::stats::SeededRng;
@@ -139,8 +139,9 @@ fn sigma_budget_scales_with_logit_margins() {
         }
     });
 
+    // The Eq. 8 solve at the searched σ, without validation.
     let run = |net: &Network| {
-        PrecisionOptimizer::new(net, &eval_set)
+        let p = PrecisionOptimizer::new(net, &eval_set)
             .relative_accuracy_loss(0.05)
             .profile_config(ProfileConfig {
                 n_deltas: 10,
@@ -148,21 +149,24 @@ fn sigma_budget_scales_with_logit_margins() {
                 ..Default::default()
             })
             .profile_images(8)
-            .skip_validation()
-            .run(Objective::Unweighted)
-            .expect("pipeline")
+            .prepare()
+            .expect("pipeline");
+        let sigma = p.sigma.sigma;
+        let config = AllocateConfig::default();
+        let outcome = allocate(&p.profile, sigma.max(1e-6), &Objective::Unweighted, &config);
+        (sigma, outcome.allocation)
     };
-    let full = run(&trained);
-    let small = run(&scaled);
-    let ratio = small.sigma.sigma / full.sigma.sigma;
+    let (sigma_full, full) = run(&trained);
+    let (sigma_small, small) = run(&scaled);
+    let ratio = sigma_small / sigma_full;
     assert!(
         (0.02..0.6).contains(&ratio),
         "σ should shrink with the logits: ratio {ratio}"
     );
     // The allocations differ by at most ~1 bit per layer on average.
-    let rho = vec![1.0; full.allocation.len()];
-    let e_full = full.allocation.effective_bitwidth(&rho);
-    let e_small = small.allocation.effective_bitwidth(&rho);
+    let rho = vec![1.0; full.len()];
+    let e_full = full.effective_bitwidth(&rho);
+    let e_small = small.effective_bitwidth(&rho);
     assert!(
         (e_full - e_small).abs() < 1.5,
         "allocation should be scale-invariant: {e_full} vs {e_small}"
